@@ -123,11 +123,18 @@ class Thread:
         raise NotImplementedError
 
     def _trampoline(self) -> Generator:
+        closed = False
         try:
             yield from self.body()
+        except GeneratorExit:
+            # Only the garbage collector closes a thread, once its run is
+            # over and unreachable: a simulated core must not dispatch then,
+            # or work counts would depend on when the collector runs.
+            closed = True
+            raise
         finally:
             self.finished = True
-            if self.core is not None:
+            if self.core is not None and not closed:
                 self._release_cpu(requeue=False)
 
     # ------------------------------------------------------------------

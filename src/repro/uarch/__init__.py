@@ -15,13 +15,7 @@ from .state import (
     UarchConfig,
     measure_steady_state,
 )
-from .streams import (
-    AddressStreamSpec,
-    BranchStreamSpec,
-    generate_addresses,
-    generate_branches,
-    sequential_addresses,
-)
+from .streams import AddressStreamSpec, BranchStreamSpec
 
 __all__ = [
     "AddressStreamSpec",
@@ -34,8 +28,5 @@ __all__ = [
     "KERNEL_OWNER",
     "SetAssociativeCache",
     "UarchConfig",
-    "generate_addresses",
-    "generate_branches",
     "measure_steady_state",
-    "sequential_addresses",
 ]

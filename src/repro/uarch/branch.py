@@ -10,7 +10,7 @@ Figure 5b (branch misprediction increase from GPU SSRs).
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 
 #: 2-bit saturating counter states.
@@ -88,6 +88,25 @@ class GShareBranchPredictor:
         # Update global history.
         self._history = ((history << 1) | int(taken)) & self._history_mask
         return correct
+
+    def record_window(
+        self, owner: str, predictions: int, mispredictions: int, retrained: Dict[str, int]
+    ) -> None:
+        """Fold one window's tallies into :attr:`stats`.
+
+        ``retrained`` maps each previous owner of an entry the window took
+        over to how many such entries it lost, in first-retrain order.  The
+        result equals ``predictions`` calls of :meth:`execute` by ``owner``
+        with those outcomes; :class:`~repro.uarch.state.CoreUarchState`
+        runs whole windows through a fused copy of that method.
+        """
+        stats = self.stats
+        if predictions:
+            stats.predictions[owner] += predictions
+        if mispredictions:
+            stats.mispredictions[owner] += mispredictions
+        for previous_owner, count in retrained.items():
+            stats.entries_disturbed[(owner, previous_owner)] += count
 
     def owned_entries(self, owner: str) -> int:
         """Number of table entries last trained by ``owner``."""

@@ -10,7 +10,7 @@ hand-waving: eviction here is real replacement in a real cache structure.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 
 class CacheStats:
@@ -55,9 +55,9 @@ class SetAssociativeCache:
         self.ways = ways
         self.line_size = line_size
         self._line_shift = line_size.bit_length() - 1
-        # Each set maps tag -> [owner, lru_stamp]; small dicts keep lookup O(1).
-        self._sets: List[Dict[int, List]] = [dict() for _ in range(num_sets)]
-        self._clock = 0
+        # Each set maps tag -> owner in LRU order: the first key is the
+        # least recently used line, and a hit moves its tag to the end.
+        self._sets: List[Dict[int, str]] = [dict() for _ in range(num_sets)]
         self._occupancy: Counter = Counter()
         self.stats = CacheStats()
 
@@ -74,10 +74,6 @@ class SetAssociativeCache:
         """Capacity of the cache in bytes."""
         return self.total_lines * self.line_size
 
-    def _index_tag(self, address: int) -> Tuple[int, int]:
-        line = address // self.line_size
-        return line % self.num_sets, line // self.num_sets
-
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
@@ -86,41 +82,53 @@ class SetAssociativeCache:
 
         On a miss the line is installed with LRU replacement; if a victim
         belonging to a *different* owner is evicted, the disturbance is
-        recorded in :attr:`stats`.
+        recorded in :attr:`stats`.  :class:`~repro.uarch.state.CoreUarchState`
+        runs whole windows through a fused copy of this method and folds
+        their tallies in with :meth:`record_window`.
         """
-        self._clock = clock = self._clock + 1
         line = address >> self._line_shift
         num_sets = self.num_sets
         cache_set = self._sets[line % num_sets]
         tag = line // num_sets
-        entry = cache_set.get(tag)
         stats = self.stats
-        if entry is not None:
-            entry[1] = clock
+        # A hit keeps the line's owner (shared address space is not
+        # modeled; same tag => same owner in practice).
+        resident = cache_set.pop(tag, None)
+        if resident is not None:
+            cache_set[tag] = resident
             stats.hits[owner] += 1
-            # A line can be re-claimed by a new owner (shared address space
-            # is not modeled; same tag => same owner in practice).
             return True
 
         stats.misses[owner] += 1
         if len(cache_set) >= self.ways:
-            # True-LRU victim: the first entry carrying the minimal stamp
-            # (stamps are unique, so the scan picks the one oldest line).
-            victim_tag = victim_owner = None
-            victim_stamp = clock
-            for candidate_tag, candidate in cache_set.items():
-                stamp = candidate[1]
-                if stamp < victim_stamp:
-                    victim_stamp = stamp
-                    victim_tag = candidate_tag
-                    victim_owner = candidate[0]
-            del cache_set[victim_tag]
+            victim_owner = cache_set.pop(next(iter(cache_set)))
             self._occupancy[victim_owner] -= 1
             stats.evictions_suffered[victim_owner] += 1
             stats.evictions_caused[(owner, victim_owner)] += 1
-        cache_set[tag] = [owner, clock]
+        cache_set[tag] = owner
         self._occupancy[owner] += 1
         return False
+
+    def record_window(
+        self, owner: str, hits: int, misses: int, victims: Dict[str, int]
+    ) -> None:
+        """Fold one window's tallies into :attr:`stats` and the occupancy.
+
+        ``victims`` maps each evicted line's owner to its eviction count,
+        in first-eviction order.  The result equals ``hits + misses`` calls
+        of :meth:`access` by ``owner`` with those outcomes.
+        """
+        stats = self.stats
+        occupancy = self._occupancy
+        if hits:
+            stats.hits[owner] += hits
+        if misses:
+            stats.misses[owner] += misses
+            occupancy[owner] += misses
+        for victim, count in victims.items():
+            occupancy[victim] -= count
+            stats.evictions_suffered[victim] += count
+            stats.evictions_caused[(owner, victim)] += count
 
     def occupancy(self, owner: str) -> int:
         """Number of lines currently owned by ``owner``."""
@@ -142,7 +150,7 @@ class SetAssociativeCache:
         """Invalidate all lines of one owner (e.g., on thread exit)."""
         dropped = 0
         for cache_set in self._sets:
-            doomed = [tag for tag, entry in cache_set.items() if entry[0] == owner]
+            doomed = [tag for tag, line_owner in cache_set.items() if line_owner == owner]
             for tag in doomed:
                 del cache_set[tag]
                 dropped += 1

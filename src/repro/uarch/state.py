@@ -15,13 +15,7 @@ from typing import Dict, Tuple
 
 from .branch import GShareBranchPredictor
 from .cache import SetAssociativeCache
-from .streams import (
-    AddressStreamSpec,
-    BranchStreamSpec,
-    _randbelow,
-    generate_addresses,
-    generate_branches,
-)
+from .streams import AddressStreamSpec, BranchStreamSpec
 
 #: Owner tag used by all kernel-mode execution.
 KERNEL_OWNER = "kernel"
@@ -76,34 +70,10 @@ class CoreUarchState:
         accesses: int,
         branches: int,
     ) -> Tuple[int, int]:
-        """Run a sampled user window; returns (misses, mispredicts).
-
-        The loops below are :func:`~repro.uarch.streams.generate_addresses`
-        and :func:`~repro.uarch.streams.generate_branches` fused inline —
-        same draws in the same order from the same RNG, without paying a
-        generator resume per access on the simulator's hottest path.
-        """
-        rng = self._rng
-        random = rng.random
-        randbelow = _randbelow(rng)
-        access = self.l1d.access
-        hot_lines = max(1, int(addr_spec.lines * addr_spec.hot_fraction))
-        base, lines = addr_spec.base, addr_spec.lines
-        hot_rate, line_size = addr_spec.hot_rate, addr_spec.line_size
-        misses = 0
-        for _ in range(accesses):
-            line = randbelow(hot_lines) if random() < hot_rate else randbelow(lines)
-            if not access(base + line * line_size, owner):
-                misses += 1
-        execute = self.predictor.execute
-        base_pc, sites, bias = branch_spec.base_pc, branch_spec.sites, branch_spec.bias
-        mispredicts = 0
-        for _ in range(branches):
-            site = randbelow(sites)
-            majority = (site & 1) == 0
-            taken = majority if random() < bias else not majority
-            if not execute(base_pc + site * 4, taken, owner):
-                mispredicts += 1
+        """Run a sampled user window; returns (misses, mispredicts)."""
+        misses, mispredicts, _, _ = self._run_window(
+            owner, addr_spec, branch_spec, accesses, branches
+        )
         return misses, mispredicts
 
     def run_kernel_window(
@@ -119,44 +89,116 @@ class CoreUarchState:
         tells the core model how many lines/entries each *user* owner lost
         to this window, so the cost can be charged when that owner resumes.
         """
-        cache_stats = self.l1d.stats
-        branch_stats = self.predictor.stats
-        evictions_before = dict(cache_stats.evictions_caused)
-        retrains_before = dict(branch_stats.entries_disturbed)
+        _, _, victims, retrained = self._run_window(
+            KERNEL_OWNER, addr_spec, branch_spec, accesses, branches
+        )
+        disturbances: Dict[str, Disturbance] = {}
+        for victim, count in victims.items():
+            if victim != KERNEL_OWNER:
+                disturbances[victim] = Disturbance(lines_evicted=count)
+        for victim, count in retrained.items():
+            if victim != KERNEL_OWNER:
+                disturbances.setdefault(victim, Disturbance()).entries_retrained = count
+        return disturbances
 
-        # Same fused stream loops as run_user_window (identical RNG order).
+    def _run_window(
+        self,
+        owner: str,
+        addr_spec: AddressStreamSpec,
+        branch_spec: BranchStreamSpec,
+        accesses: int,
+        branches: int,
+    ) -> Tuple[int, int, Dict[str, int], Dict[str, int]]:
+        """Push ``accesses`` sampled data accesses, then ``branches`` sampled
+        branches, of ``owner`` through the cache and the predictor.
+
+        Returns (misses, mispredicts, lines evicted per victim owner,
+        predictor entries retrained per previous owner).
+
+        This is the simulator's hottest loop, so it is one fused loop: the
+        stream draws, :meth:`SetAssociativeCache.access` and
+        :meth:`GShareBranchPredictor.execute` are inlined, and the window's
+        tallies are folded into the stats once at the end.  The result is
+        bit-for-bit that of calling those methods once per drawn access and
+        branch: the same Mersenne Twister words in the same order, the same
+        victims, the same counters.  A draw below n is
+        ``Random._randbelow``'s rejection sampling on ``getrandbits(k)``
+        with ``k = n.bit_length()``, written out to skip its Python frame.
+        """
         rng = self._rng
         random = rng.random
-        randbelow = _randbelow(rng)
-        access = self.l1d.access
-        hot_lines = max(1, int(addr_spec.lines * addr_spec.hot_fraction))
+        getrandbits = rng.getrandbits
+
+        # Data accesses: a hot subset or the whole working set, then LRU.
+        l1d = self.l1d
+        sets, ways, num_sets, line_shift = l1d._sets, l1d.ways, l1d.num_sets, l1d._line_shift
         base, lines = addr_spec.base, addr_spec.lines
         hot_rate, line_size = addr_spec.hot_rate, addr_spec.line_size
+        hot_lines = max(1, int(lines * addr_spec.hot_fraction))
+        hot_bits, lines_bits = hot_lines.bit_length(), lines.bit_length()
+        hits = 0
+        victims: Dict[str, int] = {}
         for _ in range(accesses):
-            line = randbelow(hot_lines) if random() < hot_rate else randbelow(lines)
-            access(base + line * line_size, KERNEL_OWNER)
-        execute = self.predictor.execute
-        base_pc, sites, bias = branch_spec.base_pc, branch_spec.sites, branch_spec.bias
-        for _ in range(branches):
-            site = randbelow(sites)
-            majority = (site & 1) == 0
-            taken = majority if random() < bias else not majority
-            execute(base_pc + site * 4, taken, KERNEL_OWNER)
+            if random() < hot_rate:
+                line = getrandbits(hot_bits)
+                while line >= hot_lines:
+                    line = getrandbits(hot_bits)
+            else:
+                line = getrandbits(lines_bits)
+                while line >= lines:
+                    line = getrandbits(lines_bits)
+            line = (base + line * line_size) >> line_shift
+            cache_set = sets[line % num_sets]
+            tag = line // num_sets
+            resident = cache_set.pop(tag, None)
+            if resident is not None:
+                cache_set[tag] = resident
+                hits += 1
+                continue
+            if len(cache_set) >= ways:
+                victim = cache_set.pop(next(iter(cache_set)))
+                victims[victim] = victims.get(victim, 0) + 1
+            cache_set[tag] = owner
+        misses = accesses - hits
+        l1d.record_window(owner, hits, misses, victims)
 
-        disturbances: Dict[str, Disturbance] = {}
-        for (source, victim), count in cache_stats.evictions_caused.items():
-            if source != KERNEL_OWNER or victim == KERNEL_OWNER:
-                continue
-            delta = count - evictions_before.get((source, victim), 0)
-            if delta > 0:
-                disturbances.setdefault(victim, Disturbance()).lines_evicted += delta
-        for (source, victim), count in branch_stats.entries_disturbed.items():
-            if source != KERNEL_OWNER or victim == KERNEL_OWNER:
-                continue
-            delta = count - retrains_before.get((source, victim), 0)
-            if delta > 0:
-                disturbances.setdefault(victim, Disturbance()).entries_retrained += delta
-        return disturbances
+        # Branches: a site, then its majority direction with probability bias.
+        predictor = self.predictor
+        table, owners, table_size = predictor._table, predictor._owners, predictor.table_size
+        history, history_mask = predictor._history, predictor._history_mask
+        # (base_pc + 4 * site) >> 2 == (base_pc >> 2) + site, exactly.
+        pc_index, sites, bias = branch_spec.base_pc >> 2, branch_spec.sites, branch_spec.bias
+        sites_bits = sites.bit_length()
+        mispredicts = 0
+        retrained: Dict[str, int] = {}
+        for _ in range(branches):
+            site = getrandbits(sites_bits)
+            while site >= sites:
+                site = getrandbits(sites_bits)
+            # The majority direction is taken for even sites.
+            taken = (random() < bias) == (not (site & 1))
+            index = ((pc_index + site) ^ history) % table_size
+            counter = table[index]  # 2-bit: 0-1 predict not taken, 2-3 taken
+            if taken:
+                if counter < 2:
+                    mispredicts += 1
+                if counter < 3:
+                    table[index] = counter + 1
+            else:
+                if counter >= 2:
+                    mispredicts += 1
+                if counter:
+                    table[index] = counter - 1
+            previous_owner = owners[index]
+            if previous_owner != owner:
+                if previous_owner is not None:
+                    retrained[previous_owner] = retrained.get(previous_owner, 0) + 1
+                owners[index] = owner
+            if history_mask:
+                history = ((history << 1) | taken) & history_mask
+        predictor._history = history
+        predictor.record_window(owner, branches, mispredicts, retrained)
+        return misses, mispredicts, victims, retrained
 
     # ------------------------------------------------------------------
     # Sleep-state interaction

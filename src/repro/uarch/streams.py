@@ -1,17 +1,22 @@
-"""Synthetic memory-address and branch streams.
+"""Synthetic memory-address and branch stream specifications.
 
 Workload profiles (see :mod:`repro.workloads.profiles`) are rendered into
 streams of cache-line addresses and branch outcomes.  The streams are
 statistical stand-ins for the real applications' traces: a working set with
 a hot subset (temporal locality) plus per-site branch biases
-(predictability).  They are deterministic for a given RNG.
+(predictability).  :meth:`repro.uarch.state.CoreUarchState._run_window`
+draws them, deterministically for a given RNG:
+
+* an access lands in the hot subset (the first
+  ``max(1, int(lines * hot_fraction))`` lines) with probability
+  ``hot_rate``, else anywhere in the working set, uniformly;
+* a branch picks a site uniformly and follows the site's majority
+  direction (taken for even sites) with probability ``bias``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
-from typing import Iterator, Tuple
 
 
 @dataclass(frozen=True)
@@ -62,45 +67,3 @@ class BranchStreamSpec:
             raise ValueError(f"sites must be >= 1, got {self.sites}")
         if not 0.5 <= self.bias <= 1.0:
             raise ValueError(f"bias must be in [0.5, 1.0], got {self.bias}")
-
-
-def _randbelow(rng: Random):
-    """The cheapest draw equivalent to ``rng.randrange(n)`` for int n > 0.
-
-    ``Random.randrange(n)`` is a thin argument-checking wrapper around
-    ``Random._randbelow(n)``; calling the latter directly consumes the
-    exact same bits from the generator, so streams are unchanged.
-    """
-    return getattr(rng, "_randbelow", rng.randrange)
-
-
-def generate_addresses(spec: AddressStreamSpec, count: int, rng: Random) -> Iterator[int]:
-    """Yield ``count`` byte addresses drawn from ``spec``'s distribution."""
-    hot_lines = max(1, int(spec.lines * spec.hot_fraction))
-    random = rng.random
-    randbelow = _randbelow(rng)
-    base, lines, hot_rate, line_size = spec.base, spec.lines, spec.hot_rate, spec.line_size
-    for _ in range(count):
-        line = randbelow(hot_lines) if random() < hot_rate else randbelow(lines)
-        yield base + line * line_size
-
-
-def generate_branches(
-    spec: BranchStreamSpec, count: int, rng: Random
-) -> Iterator[Tuple[int, bool]]:
-    """Yield ``count`` ``(pc, taken)`` pairs drawn from ``spec``."""
-    random = rng.random
-    randbelow = _randbelow(rng)
-    base_pc, sites, bias = spec.base_pc, spec.sites, spec.bias
-    for _ in range(count):
-        site = randbelow(sites)
-        pc = base_pc + site * 4
-        majority = (site & 1) == 0
-        taken = majority if random() < bias else not majority
-        yield pc, taken
-
-
-def sequential_addresses(base: int, lines: int, line_size: int = 64) -> Iterator[int]:
-    """Yield one address per line, in order — used to warm or scan a region."""
-    for line in range(lines):
-        yield base + line * line_size

@@ -1,5 +1,7 @@
 """Unit tests for the thread CPU protocol."""
 
+import gc
+
 import pytest
 
 from repro.oskernel import Thread, accounting as acct
@@ -35,6 +37,32 @@ class TestLifecycle:
         thread = kernel.spawn(BusyThread(kernel, "t", 100, iterations=1))
         kernel.env.run(until=1_000_000)
         assert thread.core is None
+
+
+class TestCollectedRuns:
+    def test_collecting_a_finished_run_dispatches_nothing(self, monkeypatch):
+        """Threads still holding a core when the run ends are closed later
+        by the garbage collector; that must not dispatch on a core."""
+        from repro.config import SystemConfig
+        from repro.core.experiment import make_run_key, simulate_run
+        from repro.oskernel.cpu import Core
+
+        calls = []
+        dispatch = Core.dispatch
+
+        def counting_dispatch(core):
+            calls.append(core.id)
+            return dispatch(core)
+
+        gc.collect()
+        gc.disable()
+        try:
+            simulate_run(make_run_key("x264", "ubench", True, SystemConfig(), 2_000_000))
+            monkeypatch.setattr(Core, "dispatch", counting_dispatch)
+            assert gc.collect() > 0
+        finally:
+            gc.enable()
+        assert calls == []
 
 
 class TestProductiveTime:

@@ -1,16 +1,12 @@
-"""Unit tests for synthetic address/branch stream generators."""
+"""Unit tests for the stream specs and the reference stream generators."""
 
 import random
 
 import pytest
 
-from repro.uarch import (
-    AddressStreamSpec,
-    BranchStreamSpec,
-    generate_addresses,
-    generate_branches,
-    sequential_addresses,
-)
+from repro.uarch import AddressStreamSpec, BranchStreamSpec
+
+from .reference import generate_addresses, generate_branches
 
 
 class TestAddressStreamSpec:
@@ -88,8 +84,3 @@ class TestBranchGeneration:
         b = list(generate_branches(spec, 40, random.Random(5)))
         assert a == b
 
-
-class TestSequentialAddresses:
-    def test_one_address_per_line(self):
-        addresses = list(sequential_addresses(0x1000, 4, 64))
-        assert addresses == [0x1000, 0x1040, 0x1080, 0x10C0]
