@@ -196,3 +196,48 @@ class TestMetricsContentType:
             assert b"# TYPE" in body
             _status, headers, _body = _http(f"{svc.url}/metrics")
             assert headers["Content-Type"].startswith("application/json")
+
+
+class TestSloCliAgainstDaemon:
+    """``hiss-slo --url`` renders the daemon's own documents and turns
+    HTTP and connection failures into one-line exits."""
+
+    def test_alerts_evaluate_and_diff_over_http(self, capsys):
+        from repro.obsd.cli import main
+        from repro.obsd.report import diff_text, evaluation_text
+        from repro.obsd.traces import trace_diff
+
+        with _serve(slos=[LOOSE]) as svc:
+            client, first = _run_one_job(svc)
+            _client, second = _run_one_job(svc)
+            svc.slo_engine.tick(time.time(), svc)
+            alerts = client.alerts()
+            assert main(["alerts", "--url", svc.url, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out) == alerts
+            assert main(["evaluate", "--url", svc.url]) == 0
+            assert capsys.readouterr().out == evaluation_text(alerts) + "\n"
+            a, b = first["job"]["id"], second["job"]["id"]
+            assert main(["diff", "--url", svc.url, a, b]) == 0
+            expected = trace_diff(client.trace(a), client.trace(b))
+            assert capsys.readouterr().out == diff_text(expected) + "\n"
+
+    def test_http_error_exits_with_the_url(self):
+        from repro.obsd.cli import main
+
+        with _serve() as svc:
+            with pytest.raises(SystemExit) as excinfo:
+                main(["alerts", "--url", svc.url])
+        message = str(excinfo.value.code)
+        assert message.startswith(f"hiss-slo: {svc.url}/v1/alerts: HTTP 404: ")
+
+    def test_unreachable_daemon_exits_with_the_url(self):
+        import socket
+
+        from repro.obsd.cli import main
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{probe.getsockname()[1]}"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["alerts", "--url", url])
+        assert str(excinfo.value.code).startswith(f"hiss-slo: cannot reach {url}: ")
