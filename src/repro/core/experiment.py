@@ -258,6 +258,19 @@ def cpu_relative_performance(
     return with_ssr.cpu_app.instructions / without_ssr.cpu_app.instructions
 
 
+def _gpu_ratio(value: SystemMetrics, baseline: SystemMetrics) -> float:
+    """``value``'s GPU metric over ``baseline``'s; a baseline that made no
+    progress (a horizon too short for the app) is an error, not a crash."""
+    denominator = baseline.gpu.performance_metric()
+    if not denominator:
+        raise ValueError(
+            f"GPU app {baseline.gpu.name!r} made no progress in its baseline "
+            f"run at a {baseline.horizon_ns / 1e6:g} ms horizon; use a longer "
+            "horizon"
+        )
+    return value.gpu.performance_metric() / denominator
+
+
 def gpu_relative_performance(
     gpu_name: str,
     cpu_name: Optional[str],
@@ -269,7 +282,7 @@ def gpu_relative_performance(
     normalized to the same GPU app with idle CPUs."""
     pair = run_workloads(cpu_name, gpu_name, True, config, horizon_ns)
     idle = run_workloads(None, gpu_name, True, baseline_config or config, horizon_ns)
-    return pair.gpu.performance_metric() / idle.gpu.performance_metric()
+    return _gpu_ratio(pair, idle)
 
 
 def cpu_mitigation_ratio(
@@ -297,4 +310,4 @@ def gpu_mitigation_ratio(
     to the default configuration (both with the same CPU app)."""
     mitigated = run_workloads(cpu_name, gpu_name, True, config, horizon_ns)
     default = run_workloads(cpu_name, gpu_name, True, default_config, horizon_ns)
-    return mitigated.gpu.performance_metric() / default.gpu.performance_metric()
+    return _gpu_ratio(mitigated, default)

@@ -28,9 +28,9 @@ This module keeps the service machinery *resident*:
 
 The pool never touches simulation semantics: workers run the same
 :func:`repro.core.experiment.simulate_run` as the serial path, results
-are keyed, and the caches are filled in the parent — so warm-pool,
-cold-pool, and serial results are byte-for-byte identical regardless of
-dispatch order.
+are keyed, and the caches are filled in the parent — so pooled and
+serial results are byte-for-byte identical regardless of dispatch
+order.
 
 Dispatch order itself comes from the cost model
 (:class:`repro.core.runcache.CostModel`): pending keys are sorted
@@ -65,15 +65,12 @@ __all__ = [
     "shared_pool",
     "shared_pool_stats",
     "shutdown_shared_pool",
-    "warm_pool_enabled",
 ]
 
 #: Planned worker retirement: after this many tasks a worker exits and is
 #: respawned on demand (bounds slow leaks over a daemon's lifetime).
 DEFAULT_RECYCLE_AFTER = 256
 
-#: ``HISS_POOL=cold`` falls back to a fresh pool per batch (A/B lever).
-_POOL_ENV = "HISS_POOL"
 #: Override the multiprocessing start method (``fork``/``spawn``/...).
 _START_ENV = "HISS_POOL_START"
 
@@ -92,11 +89,6 @@ _STALL_POLLS = 120
 #: the pool gives up.  A warm-up death is environmental (broken import,
 #: OOM at start) — respawning would loop forever, so fail the batch.
 _WARMUP_FAILURE_LIMIT = 3
-
-
-def warm_pool_enabled() -> bool:
-    """Whether ``execute_runs`` should keep a resident pool (default yes)."""
-    return os.environ.get(_POOL_ENV, "warm").strip().lower() != "cold"
 
 
 def default_start_method() -> str:

@@ -1,31 +1,16 @@
-"""Deterministic text and single-file HTML rendering for postmortems.
-
-Same contract as :mod:`repro.obsd.report` and
-:mod:`repro.profiling.report`: zero external dependencies (inline CSS,
-server-side inline SVG), the raw bundle JSON embedded in a ``<script
-type="application/json">`` block so tooling can recover the exact data
-from the page alone, and — because a bundle is a closed capture and
-every renderer below is a pure function of it — byte-identical output
-for the same bundle, run to run.
+"""Deterministic text and :mod:`repro.reportkit` HTML for postmortems:
+a bundle is a closed capture and every renderer below is a pure function
+of it, so the same bundle renders the same bytes, run to run.
 """
 
 from __future__ import annotations
 
 import html
-import json
 from typing import Any, Dict, List, Optional
 
-__all__ = ["postmortem_text", "render_postmortem_html", "write_html"]
+from ..reportkit import alert_history_table, bar, fmt_s, page, svg_open
 
-
-def _fmt_s(seconds: Optional[float]) -> str:
-    if seconds is None:
-        return "-"
-    if seconds >= 1.0:
-        return f"{seconds:.3f} s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f} ms"
-    return f"{seconds * 1e6:.0f} µs"
+__all__ = ["postmortem_text", "render_postmortem_html"]
 
 
 def _fmt_ns(ns: float) -> str:
@@ -102,7 +87,7 @@ def postmortem_text(doc: Dict[str, Any]) -> str:
             lines.append(
                 f"{str(row['job_id']):<26} {str(row['state']):<10} "
                 f"{row['planned_runs'] if row['planned_runs'] is not None else '-':>5} "
-                f"{_fmt_s(row['e2e_s']):>12}"
+                f"{fmt_s(row['e2e_s']):>12}"
             )
     blame = (doc.get("blame") or {}).get("rows") or []
     if blame:
@@ -134,23 +119,6 @@ def postmortem_text(doc: Dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 # HTML assembly
 # ----------------------------------------------------------------------
-_CSS = """
-body { font: 14px/1.45 -apple-system, 'Segoe UI', Roboto, sans-serif;
-       margin: 2em auto; max-width: 960px; color: #222; padding: 0 1em; }
-h1 { font-size: 1.4em; } h2 { font-size: 1.1em; margin-top: 1.8em; }
-table { border-collapse: collapse; width: 100%; margin: 0.6em 0; }
-th, td { text-align: left; padding: 4px 10px; border-bottom: 1px solid #e5e5e5;
-         font-variant-numeric: tabular-nums; }
-th { background: #f7f7f7; font-weight: 600; }
-td.num, th.num { text-align: right; }
-.muted { color: #888; } .mono { font-family: ui-monospace, monospace; }
-.bar { background: #4c78a8; height: 11px; display: inline-block;
-       vertical-align: middle; border-radius: 2px; }
-.bar.bad { background: #e45756; }
-.firing { color: #b0272a; font-weight: 600; }
-.ok { color: #2a7d2e; }
-"""
-
 _LANE_COLORS = ("#4c78a8", "#f58518", "#54a24b", "#b279a2", "#9d755d", "#72b7b2")
 
 
@@ -178,12 +146,7 @@ def _timeline_svg(doc: Dict[str, Any], width: int = 860) -> str:
         return label_w + (ts - t0) / span * plot_w
 
     out: List[str] = []
-    out.append(
-        f"<svg viewBox='0 0 {width} {height}' width='{width}' height='{height}' "
-        "xmlns='http://www.w3.org/2000/svg' role='img'>"
-        f"<rect x='0' y='0' width='{width}' height='{height}' fill='#fafafa' "
-        "stroke='#ddd'/>"
-    )
+    out.append(svg_open(width, height, background=True))
     for lane, category in enumerate(categories):
         y = pad + lane * lane_h + lane_h // 2
         color = _LANE_COLORS[lane % len(_LANE_COLORS)]
@@ -232,9 +195,6 @@ def render_postmortem_html(
     config = doc.get("config") or {}
     title = title or f"HISS postmortem {doc.get('id', '?')}"
     out: List[str] = []
-    out.append("<!doctype html><html lang='en'><head><meta charset='utf-8'>")
-    out.append(f"<title>{e(title)}</title><style>{_CSS}</style></head><body>")
-    out.append(f"<h1>{e(title)}</h1>")
     out.append(
         f"<p><span class='firing'>{e(str(trigger.get('name', '?')))}</span> "
         f"({e(str(trigger.get('kind', '?')))}) at "
@@ -271,7 +231,7 @@ def render_postmortem_html(
                 f"<td class='{cls}'>{e(str(row['state']))}</td>"
                 f"<td class='num'>{row['planned_runs'] if row['planned_runs'] is not None else '-'}</td>"
                 f"<td class='num'>{row['runs_executed'] if row['runs_executed'] is not None else '-'}</td>"
-                f"<td class='num'>{e(_fmt_s(row['e2e_s']))}</td></tr>"
+                f"<td class='num'>{e(fmt_s(row['e2e_s']))}</td></tr>"
             )
         out.append("</tbody></table>")
 
@@ -293,7 +253,7 @@ def render_postmortem_html(
                 f"<td>{e(str(row.get('victim', '?')))}</td>"
                 f"<td class='num'>{row.get('core', '-')}</td>"
                 f"<td class='num'>{e(_fmt_ns(ns))}</td>"
-                f"<td><span class='bar' style='width:{max(px, 2)}px'></span></td>"
+                f"<td>{bar(px)}</td>"
                 f"<td class='mono muted'>{e(str(row.get('run', '')))}</td></tr>"
             )
         out.append("</tbody></table>")
@@ -309,21 +269,7 @@ def render_postmortem_html(
         out.append(f"<h2>Alerts at capture</h2><p>{verdict}</p>")
         history = alerts.get("history") or []
         if history:
-            out.append(
-                "<table><thead><tr><th>slo</th><th>state</th>"
-                "<th class='num'>burn fast</th><th class='num'>burn slow</th>"
-                "<th>detail</th></tr></thead><tbody>"
-            )
-            for event in history[-10:]:
-                cls = "firing" if event.get("state") == "firing" else "ok"
-                out.append(
-                    f"<tr><td class='mono'>{e(str(event.get('slo', '?')))}</td>"
-                    f"<td class='{cls}'>{e(str(event.get('state', '?')))}</td>"
-                    f"<td class='num'>{event.get('burn_fast', 0.0):.2f}x</td>"
-                    f"<td class='num'>{event.get('burn_slow', 0.0):.2f}x</td>"
-                    f"<td class='muted'>{e(str(event.get('detail') or ''))}</td></tr>"
-                )
-            out.append("</tbody></table>")
+            out.append(alert_history_table(history[-10:]))
 
     metrics = doc.get("metrics") or {}
     counters = metrics.get("counters") or {}
@@ -340,17 +286,4 @@ def render_postmortem_html(
             )
         out.append("</tbody></table>")
 
-    payload = json.dumps(doc, sort_keys=True).replace("</", "<\\/")
-    out.append(
-        f"<script type='application/json' id='hiss-postmortem-data'>{payload}</script>"
-    )
-    out.append("</body></html>")
-    return "".join(out)
-
-
-def write_html(text: str, path: str) -> int:
-    """Write a rendered page to ``path``; returns the byte count."""
-    data = text.encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(data)
-    return len(data)
+    return page(title, out, "hiss-postmortem-data", doc)

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import Any, Dict, List, Optional
+import urllib.error
+from typing import Any, Callable, Dict, List, Optional
 
-from ..version import add_version_flag
+from ..reportkit import command_parser, load_json, print_problems, run, write_html
 from .replay import DEFAULT_REPLAY_INTERVAL_S, replay_ops_log
 from .report import (
     diff_text,
@@ -35,7 +35,6 @@ from .report import (
     render_diff_html,
     render_evaluation_html,
     store_series,
-    write_html,
 )
 from .slo import (
     DEFAULT_SLOS,
@@ -46,43 +45,31 @@ from .slo import (
 )
 from .traces import trace_diff
 
-
-def _load_json(path: str, what: str = "document") -> Any:
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except OSError as error:
-        raise SystemExit(f"hiss-slo: cannot read {path}: {error}")
-    except json.JSONDecodeError as error:
-        raise SystemExit(f"hiss-slo: {path} is not valid {what} JSON: {error}")
+PROG = "hiss-slo"
 
 
 def _load_specs(path: Optional[str]) -> List:
     """The spec list for ``--slo`` (a file path, or the built-in defaults)."""
     if path is None or path == "default":
         return list(DEFAULT_SLOS)
-    doc = _load_json(path, what="SLO spec")
+    doc = load_json(PROG, path, what="SLO spec JSON")
     try:
         return parse_slo_document(doc)
     except ValueError as error:
-        raise SystemExit(f"hiss-slo: {path}: {error}")
+        raise SystemExit(f"{PROG}: {path}: {error}")
 
 
-def _fetch(url: str, path: str, timeout_s: float = 30.0) -> Any:
-    import urllib.error
-    import urllib.request
+def _from_daemon(url: str, path: str, fetch: Callable[[Any], Any]) -> Any:
+    """``fetch(ServiceClient(url))``, the call that GETs ``path``; HTTP and
+    connection failures exit with a one-line message naming ``url``."""
+    from ..service.client import ServiceClient, ServiceError
 
-    request = urllib.request.Request(
-        url.rstrip("/") + path, headers={"Accept": "application/json"}
-    )
     try:
-        with urllib.request.urlopen(request, timeout=timeout_s) as response:
-            return json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as error:
-        detail = error.read().decode("utf-8", errors="replace")[:200]
-        raise SystemExit(f"hiss-slo: {url}{path}: HTTP {error.code}: {detail}")
+        return fetch(ServiceClient(url))
+    except ServiceError as error:
+        raise SystemExit(f"{PROG}: {url}{path}: {error}")
     except urllib.error.URLError as error:
-        raise SystemExit(f"hiss-slo: cannot reach {url}: {error}")
+        raise SystemExit(f"{PROG}: cannot reach {url}: {error}")
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +89,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         # Live mode: the daemon evaluated with its own engine; render its
         # verdicts rather than re-deriving them from a partial view.
-        report = _fetch(args.url, "/v1/alerts")
+        report = _from_daemon(args.url, "/v1/alerts", lambda client: client.alerts())
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -121,7 +108,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_alerts(args: argparse.Namespace) -> int:
-    report = _fetch(args.url, "/v1/alerts")
+    report = _from_daemon(args.url, "/v1/alerts", lambda client: client.alerts())
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -131,11 +118,13 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
 
 def _cmd_diff(args: argparse.Namespace) -> int:
     if args.url:
-        doc_a = _fetch(args.url, f"/v1/jobs/{args.baseline}/trace")
-        doc_b = _fetch(args.url, f"/v1/jobs/{args.compare}/trace")
+        doc_a, doc_b = (
+            _from_daemon(args.url, f"/v1/jobs/{job}/trace", lambda client: client.trace(job))
+            for job in (args.baseline, args.compare)
+        )
     else:
-        doc_a = _load_json(args.baseline, what="trace")
-        doc_b = _load_json(args.compare, what="trace")
+        doc_a = load_json(PROG, args.baseline, what="trace JSON")
+        doc_b = load_json(PROG, args.compare, what="trace JSON")
     diff = trace_diff(doc_a, doc_b)
     if args.json:
         print(json.dumps(diff, indent=2, sort_keys=True))
@@ -148,11 +137,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    doc = _load_json(args.spec, what="SLO spec")
-    problems = validate_slo_document(doc)
-    if problems:
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
+    doc = load_json(PROG, args.spec, what="SLO spec JSON")
+    if print_problems(validate_slo_document(doc)):
         return 1
     specs = parse_slo_document(doc)
     details = ", ".join(spec.name for spec in specs)
@@ -166,12 +152,9 @@ def _cmd_default_spec(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="hiss-slo",
-        description="Evaluate serving-tier SLOs and diff job traces.",
+    parser, sub = command_parser(
+        PROG, "Evaluate serving-tier SLOs and diff job traces."
     )
-    add_version_flag(parser)
-    sub = parser.add_subparsers(dest="command", required=True)
 
     evaluate = sub.add_parser(
         "evaluate", help="burn-rate evaluation from a capture or a live daemon"
@@ -230,14 +213,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     default_spec.set_defaults(func=_cmd_default_spec)
 
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except BrokenPipeError:
-        # Downstream pager/head closed the pipe; repoint stdout at devnull
-        # so the interpreter's shutdown flush doesn't raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+    return run(parser, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,19 +1,14 @@
-"""Deterministic text and single-file HTML reports for ``hiss-slo``.
-
-Same contract as :mod:`repro.profiling.report`: zero external
-dependencies (inline CSS, server-side inline SVG), the raw report JSON
-embedded in a ``<script type="application/json">`` block so tooling can
-recover the exact data from the page alone, and — because every input is
-a pure function of the capture — byte-identical output for the same
-capture and spec set, run to run.
+"""Deterministic text and :mod:`repro.reportkit` HTML reports for
+``hiss-slo``: every input is a pure function of the capture, so the same
+capture and spec set render the same bytes, run to run.
 """
 
 from __future__ import annotations
 
 import html
-import json
 from typing import Any, Dict, List, Optional
 
+from ..reportkit import alert_history_table, bar, fmt_s, page, svg_open
 from .rollup import RollupStore
 
 __all__ = [
@@ -22,16 +17,7 @@ __all__ = [
     "render_diff_html",
     "render_evaluation_html",
     "store_series",
-    "write_html",
 ]
-
-
-def _fmt_s(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:.3f} s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f} ms"
-    return f"{seconds * 1e6:.0f} µs"
 
 
 def _fmt_burn(burn: float) -> str:
@@ -121,8 +107,8 @@ def diff_text(diff: Dict[str, Any]) -> str:
     """Aligned-text form of a :func:`~repro.obsd.traces.trace_diff`."""
     a, b = diff["a"], diff["b"]
     lines = [
-        f"trace diff: {a['job_id']} ({_fmt_s(a['e2e_s'])}) -> "
-        f"{b['job_id']} ({_fmt_s(b['e2e_s'])}), "
+        f"trace diff: {a['job_id']} ({fmt_s(a['e2e_s'])}) -> "
+        f"{b['job_id']} ({fmt_s(b['e2e_s'])}), "
         f"delta {diff['e2e_delta_s']:+.6f}s",
         "",
     ]
@@ -139,7 +125,7 @@ def diff_text(diff: Dict[str, Any]) -> str:
             else "-"
         )
         lines.append(
-            f"{row['label']:<32} {_fmt_s(row['a_s']):>12} {_fmt_s(row['b_s']):>12} "
+            f"{row['label']:<32} {fmt_s(row['a_s']):>12} {fmt_s(row['b_s']):>12} "
             f"{row['delta_s']:>+12.6f} {share:>7}"
         )
     return "\n".join(lines)
@@ -148,30 +134,11 @@ def diff_text(diff: Dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 # HTML assembly
 # ----------------------------------------------------------------------
-_CSS = """
-body { font: 14px/1.45 -apple-system, 'Segoe UI', Roboto, sans-serif;
-       margin: 2em auto; max-width: 960px; color: #222; padding: 0 1em; }
-h1 { font-size: 1.4em; } h2 { font-size: 1.1em; margin-top: 1.8em; }
-table { border-collapse: collapse; width: 100%; margin: 0.6em 0; }
-th, td { text-align: left; padding: 4px 10px; border-bottom: 1px solid #e5e5e5;
-         font-variant-numeric: tabular-nums; }
-th { background: #f7f7f7; font-weight: 600; }
-td.num, th.num { text-align: right; }
-.muted { color: #888; } .mono { font-family: ui-monospace, monospace; }
-.bar { background: #4c78a8; height: 11px; display: inline-block;
-       vertical-align: middle; border-radius: 2px; }
-.bar.bad { background: #e45756; }
-.firing { color: #b0272a; font-weight: 600; }
-.ok { color: #2a7d2e; }
-"""
-
-
 def _burn_bar(burn: float, factor: float, width: int = 180) -> str:
     """A horizontal burn bar: full width at 2x the alert factor."""
     span = max(factor * 2.0, 1e-9)
     px = int(min(1.0, burn / span) * width)
-    cls = "bar bad" if burn >= factor else "bar"
-    return f"<span class='{cls}' style='width:{max(px, 2)}px'></span>"
+    return bar(px, bad=burn >= factor)
 
 
 def _series_svg(series: List[Dict[str, Any]], width: int = 860) -> str:
@@ -189,11 +156,8 @@ def _series_svg(series: List[Dict[str, Any]], width: int = 860) -> str:
         for row in plotted
     )
     return (
-        f"<svg viewBox='0 0 {width} {height}' width='{width}' height='{height}' "
-        "xmlns='http://www.w3.org/2000/svg' role='img'>"
-        f"<rect x='0' y='0' width='{width}' height='{height}' fill='#fafafa' "
-        "stroke='#ddd'/>"
-        f"<polyline points='{points}' fill='none' stroke='#4c78a8' "
+        svg_open(width, height, background=True)
+        + f"<polyline points='{points}' fill='none' stroke='#4c78a8' "
         "stroke-width='1.4'/>"
         f"<text x='{pad}' y='{pad + 8}' font-size='10' fill='#555'>"
         f"e2e p99 (peak {peak:.4g}s) per bucket</text>"
@@ -211,9 +175,6 @@ def render_evaluation_html(
     e = html.escape
     firing = report.get("firing") or []
     out: List[str] = []
-    out.append("<!doctype html><html lang='en'><head><meta charset='utf-8'>")
-    out.append(f"<title>{e(title)}</title><style>{_CSS}</style></head><body>")
-    out.append(f"<h1>{e(title)}</h1>")
     verdict = (
         f"<span class='firing'>{len(firing)} firing: {e(', '.join(firing))}</span>"
         if firing
@@ -267,33 +228,14 @@ def render_evaluation_html(
     history = report.get("history")
     if history:
         out.append("<h2>Alert transitions</h2>")
-        out.append(
-            "<table><thead><tr><th>slo</th><th>state</th>"
-            "<th class='num'>burn fast</th><th class='num'>burn slow</th>"
-            "<th>detail</th></tr></thead><tbody>"
-        )
-        for event in history:
-            cls = "firing" if event["state"] == "firing" else "ok"
-            out.append(
-                f"<tr><td class='mono'>{e(event['slo'])}</td>"
-                f"<td class='{cls}'>{e(event['state'])}</td>"
-                f"<td class='num'>{event['burn_fast']:.2f}x</td>"
-                f"<td class='num'>{event['burn_slow']:.2f}x</td>"
-                f"<td class='muted'>{e(event.get('detail') or '')}</td></tr>"
-            )
-        out.append("</tbody></table>")
+        out.append(alert_history_table(history))
 
     if series:
         out.append("<h2>Tail latency over the capture</h2>")
         out.append(_series_svg(series))
 
     document = {"report": report, "capture": capture, "series": series}
-    payload = json.dumps(document, sort_keys=True).replace("</", "<\\/")
-    out.append(
-        f"<script type='application/json' id='hiss-slo-data'>{payload}</script>"
-    )
-    out.append("</body></html>")
-    return "".join(out)
+    return page(title, out, "hiss-slo-data", document)
 
 
 def render_diff_html(diff: Dict[str, Any], title: str = "HISS trace diff") -> str:
@@ -301,14 +243,11 @@ def render_diff_html(diff: Dict[str, Any], title: str = "HISS trace diff") -> st
     e = html.escape
     a, b = diff["a"], diff["b"]
     out: List[str] = []
-    out.append("<!doctype html><html lang='en'><head><meta charset='utf-8'>")
-    out.append(f"<title>{e(title)}</title><style>{_CSS}</style></head><body>")
-    out.append(f"<h1>{e(title)}</h1>")
     out.append(
         f"<p><span class='mono'>{e(str(a['job_id']))}</span> "
-        f"({e(_fmt_s(a['e2e_s']))}) &rarr; "
+        f"({e(fmt_s(a['e2e_s']))}) &rarr; "
         f"<span class='mono'>{e(str(b['job_id']))}</span> "
-        f"({e(_fmt_s(b['e2e_s']))}) &middot; "
+        f"({e(fmt_s(b['e2e_s']))}) &middot; "
         f"end-to-end delta <b>{diff['e2e_delta_s']:+.6f}s</b></p>"
     )
     out.append("<h2>Stage attribution of the delta</h2>")
@@ -321,16 +260,15 @@ def render_diff_html(diff: Dict[str, Any], title: str = "HISS trace diff") -> st
     )
     for row in diff["stages"]:
         px = int(240 * abs(row["delta_s"]) / max_abs) if max_abs else 0
-        cls = "bar bad" if row["delta_s"] > 0 else "bar"
         share = (
             f"{row['share_of_delta'] * 100:.1f}%" if diff["e2e_delta_s"] else "&mdash;"
         )
         out.append(
             f"<tr><td>{e(row['label'])}</td>"
-            f"<td class='num'>{e(_fmt_s(row['a_s']))}</td>"
-            f"<td class='num'>{e(_fmt_s(row['b_s']))}</td>"
+            f"<td class='num'>{e(fmt_s(row['a_s']))}</td>"
+            f"<td class='num'>{e(fmt_s(row['b_s']))}</td>"
             f"<td class='num'>{row['delta_s']:+.6f}</td>"
-            f"<td><span class='{cls}' style='width:{max(px, 2)}px'></span></td>"
+            f"<td>{bar(px, bad=row['delta_s'] > 0)}</td>"
             f"<td class='num'>{share}</td></tr>"
         )
     out.append("</tbody></table>")
@@ -339,17 +277,4 @@ def render_diff_html(diff: Dict[str, Any], title: str = "HISS trace diff") -> st
         "longer than the baseline; shares sum to 100% of the end-to-end "
         "delta up to rounding.</p>"
     )
-    payload = json.dumps(diff, sort_keys=True).replace("</", "<\\/")
-    out.append(
-        f"<script type='application/json' id='hiss-slo-diff-data'>{payload}</script>"
-    )
-    out.append("</body></html>")
-    return "".join(out)
-
-
-def write_html(text: str, path: str) -> int:
-    """Write a rendered page to ``path``; returns the byte count."""
-    data = text.encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(data)
-    return len(data)
+    return page(title, out, "hiss-slo-diff-data", diff)

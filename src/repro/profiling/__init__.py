@@ -56,8 +56,8 @@ from .report import (
     aggregate_attribution,
     render_html,
     text_summary,
-    write_html,
 )
+from ..reportkit import write_html
 
 __all__ = [
     "ALL_CHANNELS",

@@ -16,42 +16,21 @@ by flamegraph.pl or speedscope; the HTML report is fully self-contained
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
-from typing import Any
 
-from ..version import add_version_flag
+from ..reportkit import command_parser, load_json, load_valid, print_problems, run, write_html
 from .flamegraph import write_collapsed
 from .profiler import profile_runs, validate_profile
-from .report import text_summary, write_html
+from .report import render_html, text_summary
 
-
-def _load(path: str) -> Any:
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except OSError as error:
-        raise SystemExit(f"hiss-report: cannot read {path}: {error}")
-    except json.JSONDecodeError as error:
-        raise SystemExit(f"hiss-report: {path} is not valid JSON: {error}")
-
-
-def _checked(path: str) -> Any:
-    document = _load(path)
-    problems = validate_profile(document)
-    if problems:
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
-        raise SystemExit(2)
-    return document
+PROG = "hiss-report"
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    document = _checked(args.profile)
+    document = load_valid(PROG, args.profile, validate_profile)
     runs = profile_runs(document)
     entries = sum(len(r.get("ledger", {}).get("entries", [])) for r in runs)
-    size = write_html(document, args.output, title=args.title)
+    size = write_html(render_html(document, title=args.title), args.output)
     print(f"wrote {args.output} ({size} bytes, {len(runs)} run(s), {entries} attribution cells)")
     if args.collapsed:
         lines = write_collapsed(document, args.collapsed)
@@ -60,16 +39,13 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_summary(args: argparse.Namespace) -> int:
-    print(text_summary(_checked(args.profile)))
+    print(text_summary(load_valid(PROG, args.profile, validate_profile)))
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    document = _load(args.profile)
-    problems = validate_profile(document)
-    if problems:
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
+    document = load_json(PROG, args.profile)
+    if print_problems(validate_profile(document)):
         return 1
     runs = profile_runs(document)
     entries = sum(len(r.get("ledger", {}).get("entries", [])) for r in runs)
@@ -82,12 +58,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="hiss-report",
-        description="Render and inspect HISS interference-attribution profiles.",
+    parser, sub = command_parser(
+        PROG, "Render and inspect HISS interference-attribution profiles."
     )
-    add_version_flag(parser)
-    sub = parser.add_subparsers(dest="command", required=True)
 
     render = sub.add_parser("render", help="write the self-contained HTML report")
     render.add_argument("profile", help="profile JSON (bundle or single run)")
@@ -111,15 +84,7 @@ def main(argv=None) -> int:
     validate.add_argument("profile", help="profile JSON (bundle or single run)")
     validate.set_defaults(func=_cmd_validate)
 
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except BrokenPipeError:
-        # Downstream pager/head closed the pipe (e.g. `summary | head`).
-        # Point stdout at devnull so the interpreter's shutdown flush
-        # doesn't raise a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+    return run(parser, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

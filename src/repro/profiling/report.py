@@ -1,10 +1,8 @@
 """Self-contained single-file HTML report for interference profiles.
 
-Renders a profile bundle (or a single run document) into one HTML file
-with zero external dependencies — inline CSS, server-side-generated
-inline SVG for the timeline strip, and the raw profile JSON embedded in a
-``<script type="application/json">`` block so downstream tooling can
-recover the exact data from the report alone.
+Renders a profile bundle (or a single run document) into one
+:mod:`repro.reportkit` page, the raw profile JSON embedded as
+``hiss-profile-data``.
 
 Sections mirror the paper's presentation:
 
@@ -19,10 +17,10 @@ Sections mirror the paper's presentation:
 from __future__ import annotations
 
 import html
-import json
 from typing import Dict, List, Tuple
 
-from .ledger import ALL_CHANNELS, SIDE_CHANNELS, SSR_SERVICE_CHANNELS
+from ..reportkit import BASE_CSS, bar, page, svg_open
+from .ledger import ALL_CHANNELS, SSR_SERVICE_CHANNELS
 from .profiler import profile_runs
 
 __all__ = [
@@ -30,7 +28,6 @@ __all__ = [
     "aggregate_attribution",
     "render_html",
     "text_summary",
-    "write_html",
 ]
 
 #: Timeline band colors per mode code (see ``sampler.MODE_CODES``).
@@ -150,10 +147,7 @@ def _timeline_svg(run: Dict, width: int = 860) -> str:
     left = 64
     height = num_cores * (band_h + gap) + depth_h + 34
     scale = (width - left - 8) / max(1, horizon)
-    parts = [
-        f"<svg viewBox='0 0 {width} {height}' width='{width}' height='{height}' "
-        f"xmlns='http://www.w3.org/2000/svg' role='img'>"
-    ]
+    parts = [svg_open(width, height)]
     # Per-core mode bands: each sample colors [ts, next_ts).
     for core in range(num_cores):
         y = core * (band_h + gap)
@@ -206,19 +200,8 @@ def _timeline_svg(run: Dict, width: int = 860) -> str:
 # ----------------------------------------------------------------------
 # HTML assembly
 # ----------------------------------------------------------------------
-_CSS = """
-body { font: 14px/1.45 -apple-system, 'Segoe UI', Roboto, sans-serif;
-       margin: 2em auto; max-width: 960px; color: #222; padding: 0 1em; }
-h1 { font-size: 1.4em; } h2 { font-size: 1.1em; margin-top: 1.8em; }
-table { border-collapse: collapse; width: 100%; margin: 0.6em 0; }
-th, td { text-align: left; padding: 4px 10px; border-bottom: 1px solid #e5e5e5;
-         font-variant-numeric: tabular-nums; }
-th { background: #f7f7f7; font-weight: 600; }
-td.num, th.num { text-align: right; }
-.muted { color: #888; } .mono { font-family: ui-monospace, monospace; }
-.bar { background: #4c78a8; height: 11px; display: inline-block;
-       vertical-align: middle; border-radius: 2px; }
-.side { color: #946; }
+#: Page rules on top of the kit's base: side-channel rows, mode legend.
+_PROFILE_CSS = BASE_CSS + """.side { color: #946; }
 .legend span { display: inline-block; margin-right: 1em; font-size: 12px; }
 .legend i { display: inline-block; width: 11px; height: 11px;
             margin-right: 4px; vertical-align: -1px; }
@@ -239,9 +222,6 @@ def render_html(document: Dict, title: str = "HISS interference profile") -> str
 
     out: List[str] = []
     e = html.escape
-    out.append("<!doctype html><html lang='en'><head><meta charset='utf-8'>")
-    out.append(f"<title>{e(title)}</title><style>{_CSS}</style></head><body>")
-    out.append(f"<h1>{e(title)}</h1>")
     out.append(
         "<p>"
         f"{len(runs)} run(s) &middot; {completed} SSRs completed &middot; "
@@ -292,14 +272,14 @@ def render_html(document: Dict, title: str = "HISS interference profile") -> str
         "<th style='width:45%'></th><th>by channel</th></tr></thead><tbody>"
     )
     for row in blame:
-        bar = int(260 * row["total_ns"] / max_blame) if max_blame else 0
+        px = int(260 * row["total_ns"] / max_blame) if max_blame else 0
         channels = ", ".join(
             f"{channel} {_fmt_ns(ns)}" for channel, ns in row["channels"].items()
         )
         out.append(
             f"<tr><td class='mono'>{e(row['app'])}</td>"
             f"<td class='num'>{e(_fmt_ns(row['total_ns']))}</td>"
-            f"<td><span class='bar' style='width:{max(bar, 2)}px'></span></td>"
+            f"<td>{bar(px)}</td>"
             f"<td class='muted'>{e(channels)}</td></tr>"
         )
     if not blame:
@@ -322,20 +302,4 @@ def render_html(document: Dict, title: str = "HISS interference profile") -> str
             f"<p class='muted'>({len(runs) - 6} more run(s) in the embedded data)</p>"
         )
 
-    # --- Embedded raw data --------------------------------------------
-    payload = json.dumps(document, sort_keys=True).replace("</", "<\\/")
-    out.append(
-        "<script type='application/json' id='hiss-profile-data'>"
-        f"{payload}</script>"
-    )
-    out.append("</body></html>")
-    return "".join(out)
-
-
-def write_html(document: Dict, path: str, title: str = "HISS interference profile") -> int:
-    """Write the rendered report to ``path``; returns the byte count."""
-    text = render_html(document, title=title)
-    data = text.encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(data)
-    return len(data)
+    return page(title, out, "hiss-profile-data", document, css=_PROFILE_CSS)

@@ -51,7 +51,8 @@ from .samplers import (
     sampler_for_round,
 )
 from .space import Knob, SearchSpace, default_space
-from .report import frontier_table, render_html, write_html
+from .report import frontier_table, render_html
+from ..reportkit import write_html
 
 __all__ = [
     "EvaluationContext",

@@ -24,7 +24,7 @@ import sys
 from typing import List, Optional
 
 from ..core import configure_disk_cache
-from ..version import add_version_flag
+from ..reportkit import command_parser, print_problems, run, write_html
 from ..telemetry import MetricsRegistry, SpanRecorder, render_metrics_text, trace_document
 from .driver import (
     ARCHIVE_SUFFIX,
@@ -35,7 +35,7 @@ from .driver import (
     replay_journal,
 )
 from .objectives import OBJECTIVE_NAMES
-from .report import frontier_table, write_html
+from .report import frontier_table, render_html
 from .space import default_space
 
 #: Exit code of a sweep stopped by ``--interrupt-after`` (CI hook).
@@ -95,12 +95,9 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hiss-sweep",
-        description="Adaptive Pareto autotuner over mitigation & QoS knobs.",
+    parser, sub = command_parser(
+        "hiss-sweep", "Adaptive Pareto autotuner over mitigation & QoS knobs."
     )
-    add_version_flag(parser)
-    sub = parser.add_subparsers(dest="command", required=True)
 
     for name, help_text in (
         ("run", "start a fresh sweep (refuses to overwrite a journal)"),
@@ -112,6 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="JSONL sweep journal (archive lands next to it)",
         )
         _add_sweep_flags(command)
+        command.set_defaults(func=_cmd_sweep, resume=name == "resume")
 
     report = sub.add_parser("report", help="print the frontier table")
     report.add_argument("--state", required=True, metavar="FILE")
@@ -119,11 +117,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "-o", "--html", metavar="FILE", default=None,
         help="also write the self-contained HTML chart to FILE",
     )
+    report.set_defaults(func=_cmd_report)
 
     validate = sub.add_parser(
         "validate", help="replay the journal and cross-check the archive"
     )
     validate.add_argument("--state", required=True, metavar="FILE")
+    validate.set_defaults(func=_cmd_validate)
     return parser
 
 
@@ -158,12 +158,12 @@ def _finish(driver: SweepDriver, args: argparse.Namespace) -> None:
         sys.stdout.write(render_metrics_text(driver.registry, driver.gauges()))
 
 
-def _cmd_sweep(args: argparse.Namespace, resume: bool) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.cache_dir:
         configure_disk_cache(args.cache_dir)
     driver = _driver_from_args(args)
     try:
-        result = driver.run(resume=resume)
+        result = driver.run(resume=args.resume)
     except SweepInterrupted as interrupt:
         # Journal + run cache hold everything; `hiss-sweep resume` picks
         # the sweep back up and converges to the uninterrupted archive.
@@ -193,7 +193,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         evaluations = [
             (point, vector) for point, vector in state["archive"].values()
         ]
-        write_html(document, args.html, evaluations)
+        write_html(render_html(document, evaluations), args.html)
         print(f"html: {args.html}")
     return 0
 
@@ -262,9 +262,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 problems.append("archive frontier contains unjournaled points")
         except FileNotFoundError:
             print(f"note: no archive at {archive_path} (sweep still running?)")
-    if problems:
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
+    if print_problems(problems):
         return 1
     print(
         f"valid: {len(state['archive'])} evaluation(s), "
@@ -274,14 +272,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_sweep(args, resume=False)
-    if args.command == "resume":
-        return _cmd_sweep(args, resume=True)
-    if args.command == "report":
-        return _cmd_report(args)
-    return _cmd_validate(args)
+    return run(_build_parser(), argv)
 
 
 if __name__ == "__main__":

@@ -2,12 +2,11 @@
 
 Both renderers consume the driver's canonical archive document
 (:meth:`~repro.search.driver.SweepDriver.archive_document` or the
-``.archive.json`` file it writes).  The HTML report follows the repo's
-exporter idiom (see :mod:`repro.profiling.report`): one file, inline CSS
-and SVG, zero external assets, and the full machine-readable payload
-embedded in a ``<script type="application/json" id="hiss-sweep-data">``
-block so downstream tooling can re-extract the frontier from the report
-itself.
+``.archive.json`` file it writes).  The HTML report is one file with
+inline CSS and SVG and the full machine-readable payload embedded in a
+``<script type="application/json" id="hiss-sweep-data">`` block, like
+the :mod:`repro.reportkit` pages, but keeps its own scatter-chart shell
+and compact payload; write it with :func:`repro.reportkit.write_html`.
 """
 
 from __future__ import annotations
@@ -213,14 +212,3 @@ frontier {len(frontier)} · space {escape(str(document.get('space_digest', ''))[
 </body>
 </html>
 """
-
-
-def write_html(
-    document: Dict[str, Any],
-    path: str,
-    evaluations: Optional[Sequence[Tuple[Any, Sequence[float]]]] = None,
-) -> str:
-    """Write :func:`render_html` output to ``path``; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_html(document, evaluations))
-    return path

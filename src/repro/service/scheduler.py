@@ -103,7 +103,6 @@ class JobScheduler:
         trace_capacity: int = 100_000,
         trace_events_per_run: int = 4000,
         ops_log: Optional[OpsLog] = None,
-        warm: Optional[bool] = None,
         flight=None,
     ):
         self.store = store
@@ -113,9 +112,6 @@ class JobScheduler:
         self.governor = governor
         self.poll_s = poll_s
         self._clock = clock
-        #: ``False`` forces the cold per-batch executor; ``None`` follows
-        #: the ``HISS_POOL`` environment default (warm).
-        self.warm = warm
         #: Capture each run's in-sim event stream in the pool workers and
         #: attach it to the jobs that planned the run.  Span/timestamp
         #: bookkeeping happens regardless; this only gates event capture.
@@ -406,7 +402,6 @@ class JobScheduler:
             span_context_for=span_context_for,
             on_run=on_run,
             profile_keys=profile_keys,
-            warm=self.warm,
             events_per_run=self.trace_events_per_run if self.trace else None,
         )
         if tracer is not None and tracer.dropped:

@@ -1,9 +1,9 @@
 """Tests for the warm execution backend: pool mechanics, equivalence,
 crash isolation, and cost-model dispatch ordering.
 
-The acceptance bar is the module's contract: warm-pool, cold-pool, and
-serial results are byte-for-byte identical, a second batch spawns zero
-new workers, and a failed run fails only itself.
+The acceptance bar is the module's contract: warm-pool and serial
+results are byte-for-byte identical, a second batch spawns zero new
+workers, and a failed run fails only itself.
 """
 
 import json
@@ -193,9 +193,9 @@ class TestSharedPool:
 
 
 class TestWarmEquivalence:
-    """Warm-pool, cold-pool, and serial runs agree byte for byte."""
+    """Warm-pool and serial runs agree byte for byte."""
 
-    def test_serial_warm_cold_results_identical(self):
+    def test_serial_warm_results_identical(self):
         keys = fig4_keys()
         report = execute_runs(keys, jobs=1)
         assert report.executed == len(keys) and not report.failed
@@ -218,15 +218,6 @@ class TestWarmEquivalence:
         assert stats_after_second["spawned_workers"] == 2.0
         assert stats_after_second["batches"] == 2.0
         assert stats_after_second["warm_hits"] == float(len(keys) - half)
-
-        # Cold: fresh executor per batch, resident pool untouched.
-        clear_cache()
-        shutdown_shared_pool()
-        cold = execute_runs(keys, jobs=2, warm=False)
-        assert cold.executed == len(keys) and not cold.failed
-        assert cold.pool == {}
-        assert shared_pool_stats()["spawned_workers"] == 0.0
-        assert snapshot(keys) == serial
 
     def test_predicted_core_s_reported_before_execution(self):
         keys = fig4_keys()

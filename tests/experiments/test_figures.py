@@ -50,6 +50,23 @@ class TestFig3b:
                 assert 0.3 < value < 1.5
 
 
+class TestNoProgressBaseline:
+    """With idle CPUs bfs makes no progress within 1 ms, so the ratios
+    normalized to that run have no denominator."""
+
+    def test_fig3b_names_the_app_and_horizon(self):
+        with pytest.raises(ValueError, match=r"'bfs'.* 1 ms horizon"):
+            run_experiment("fig3b", cpu_names=["x264"], gpu_names=["bfs"], horizon_ns=1_000_000)
+
+    def test_gpu_mitigation_ratio(self):
+        from repro.config import SystemConfig
+        from repro.core import gpu_mitigation_ratio
+
+        config = SystemConfig()
+        with pytest.raises(ValueError, match=r"'bfs'.* 1 ms horizon"):
+            gpu_mitigation_ratio(None, "bfs", config, config, horizon_ns=1_000_000)
+
+
 class TestFig4:
     def test_rows_and_loss_arithmetic(self):
         result = run_experiment("fig4", gpu_names=["xsbench"], horizon_ns=H)

@@ -103,7 +103,7 @@ class TestHtml:
 
     def test_embedded_json_round_trips(self, bundle, tmp_path):
         path = tmp_path / "report.html"
-        size = write_html(bundle, str(path))
+        size = write_html(render_html(bundle), str(path))
         html = path.read_text()
         assert size == len(html.encode("utf-8"))
         marker = "id='hiss-profile-data'>"

@@ -2,11 +2,11 @@
 
 import json
 
+from repro.reportkit import write_html
 from repro.search.report import (
     DATA_ELEMENT_ID,
     frontier_table,
     render_html,
-    write_html,
 )
 
 DOCUMENT = {
@@ -74,6 +74,7 @@ class TestHtmlReport:
 
     def test_write_html(self, tmp_path):
         path = str(tmp_path / "report.html")
-        assert write_html(DOCUMENT, path) == path
+        text = render_html(DOCUMENT)
+        assert write_html(text, path) == len(text.encode("utf-8"))
         with open(path, "r", encoding="utf-8") as handle:
             assert DATA_ELEMENT_ID in handle.read()

@@ -112,12 +112,15 @@ class TestEndToEnd:
             svc.scheduler.resume()
 
     def test_qos_backoff_kicks_in_under_burst(self):
+        # The governor resamples on admission once a sample period has
+        # passed: the first refused submit (after the sleep) samples the
+        # burst, and the next two land inside the same period.
         with service(
-            qos_threshold=0.0, qos_sample_period_s=0.01, qos_window_s=0.01
+            qos_threshold=0.0, qos_sample_period_s=0.25, qos_window_s=0.25
         ) as (svc, client):
             first = client.submit(**_spec_args(SPEC))
             assert client.wait(first["job"]["id"], timeout_s=120)["state"] == "done"
-            time.sleep(0.05)  # let the governor sample the burst's window
+            time.sleep(0.3)  # let the governor sample the burst's window
             delays = []
             for horizon in (2.0, 3.0, 4.0):  # distinct work, so no dedupe
                 with pytest.raises(ServiceRejected) as excinfo:
