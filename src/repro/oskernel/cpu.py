@@ -320,14 +320,16 @@ class Core:
         """Push a kernel handler's footprint through this core's structures
         and charge the resulting disturbance to the victim thread.
 
-        The stream itself is mechanistic (it really evicts lines / retrains
-        entries, which the sampled user windows observe for the Figure 5
-        counters).  The *performance charge*, however, is analytic:
-        ``footprint x coverage`` of the interrupted thread, because the
-        sparse sampled user streams structurally under-populate the shared
-        structures relative to a full-rate application (see DESIGN.md).
-        A handler that lands on an idle core charges no one — which is why
-        idle cores absorb SSR work so cheaply (raytrace, steering)."""
+        The stream itself is mechanistic: it really evicts lines and
+        retrains entries, and the sampled user windows measure the extra
+        misses and mispredicts for the Figure 5 counters.  Which owner
+        lost which lines is not recorded, because the *performance charge*
+        is analytic: ``footprint x coverage`` of the interrupted thread,
+        since the sparse sampled user streams structurally under-populate
+        the shared structures relative to a full-rate application (see
+        DESIGN.md).  A handler that lands on an idle core charges no one —
+        which is why idle cores absorb SSR work so cheaply (raytrace,
+        steering)."""
         addr_spec, branch_spec = self._kernel_streams(lines, branches)
         self.uarch.run_kernel_window(addr_spec, branch_spec, lines, branches)
         if victim is None or victim.finished:
@@ -382,7 +384,12 @@ class Core:
         )
 
     def finalize(self) -> None:
-        """Close the in-flight segment at the end of the measured horizon."""
+        """Close the in-flight segment at the end of the measured horizon.
+
+        Also drop the uarch index tables: a finished run is a reference
+        cycle, so without this they would live until the cyclic garbage
+        collector ran and pile up across runs (peak RSS)."""
+        self.uarch.drop_tables()
         if self._segment is None:
             return
         mode, start, thread, stall = self._segment

@@ -423,6 +423,9 @@ class HissService:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; with Nagle's algorithm
+    # a kept-alive client would wait for its delayed ACK on every body.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> HissService:

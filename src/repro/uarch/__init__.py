@@ -1,4 +1,4 @@
-"""Microarchitecture models: owner-tagged L1D cache and gshare predictor.
+"""Microarchitecture models: an LRU L1D cache and a gshare predictor.
 
 These structures are *shared* between user threads and kernel SSR handlers
 running on the same core, so interference (line eviction, predictor
@@ -10,7 +10,6 @@ from .branch import BranchStats, GShareBranchPredictor
 from .cache import CacheStats, SetAssociativeCache
 from .state import (
     CoreUarchState,
-    Disturbance,
     KERNEL_OWNER,
     UarchConfig,
     measure_steady_state,
@@ -23,7 +22,6 @@ __all__ = [
     "BranchStreamSpec",
     "CacheStats",
     "CoreUarchState",
-    "Disturbance",
     "GShareBranchPredictor",
     "KERNEL_OWNER",
     "SetAssociativeCache",

@@ -1,36 +1,32 @@
-"""A set-associative, LRU, owner-tagged cache model.
+"""A set-associative, LRU cache model with per-owner hit/miss counters.
 
-Lines are tagged with an *owner* string (a user thread name or ``"kernel"``).
-This lets the interference machinery measure exactly how many of a user
-thread's lines a kernel SSR handler evicted — the paper's "indirect
-overhead" (Section II-D, segment *b* of Figure 2) — without any statistical
-hand-waving: eviction here is real replacement in a real cache structure.
+User threads and kernel SSR handlers share one cache per core, so a
+handler's accesses really replace a thread's lines and the thread's next
+sampled window really misses on them.  That is how the hit/miss counters
+behind the paper's Figure 5a measure the "indirect overhead" (Section II-D,
+segment *b* of Figure 2): eviction here is real replacement in a real cache
+structure.  Which owner evicted whom is not tracked; the performance charge
+of pollution is analytic (see ``Core._run_kernel_window``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 
 class CacheStats:
-    """Per-owner hit/miss/eviction accounting."""
+    """Per-owner hit/miss accounting."""
 
-    __slots__ = ("hits", "misses", "evictions_suffered", "evictions_caused")
+    __slots__ = ("hits", "misses")
 
     def __init__(self):
         self.hits: Counter = Counter()
         self.misses: Counter = Counter()
-        #: evictions_suffered[x] = lines owned by x that someone evicted
-        self.evictions_suffered: Counter = Counter()
-        #: evictions_caused[(a, b)] = lines of b evicted by accesses from a
-        self.evictions_caused: Counter = Counter()
 
     def reset(self) -> None:
         self.hits.clear()
         self.misses.clear()
-        self.evictions_suffered.clear()
-        self.evictions_caused.clear()
 
     def miss_rate(self, owner: str) -> float:
         """Miss rate for ``owner`` over everything recorded so far."""
@@ -55,10 +51,9 @@ class SetAssociativeCache:
         self.ways = ways
         self.line_size = line_size
         self._line_shift = line_size.bit_length() - 1
-        # Each set maps tag -> owner in LRU order: the first key is the
-        # least recently used line, and a hit moves its tag to the end.
-        self._sets: List[Dict[int, str]] = [dict() for _ in range(num_sets)]
-        self._occupancy: Counter = Counter()
+        # Each set holds its resident tags in LRU order: the first key is
+        # the least recently used line, and a hit moves its tag to the end.
+        self._sets: List[Dict[int, bool]] = [dict() for _ in range(num_sets)]
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -74,86 +69,41 @@ class SetAssociativeCache:
         """Capacity of the cache in bytes."""
         return self.total_lines * self.line_size
 
+    def locate(self, address: int) -> Tuple[Dict[int, bool], int]:
+        """The set that holds ``address`` and the line's tag within it."""
+        line = address >> self._line_shift
+        return self._sets[line % self.num_sets], line // self.num_sets
+
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
     def access(self, address: int, owner: str) -> bool:
         """Access ``address`` on behalf of ``owner``; returns True on a hit.
 
-        On a miss the line is installed with LRU replacement; if a victim
-        belonging to a *different* owner is evicted, the disturbance is
-        recorded in :attr:`stats`.  :class:`~repro.uarch.state.CoreUarchState`
-        runs whole windows through a fused copy of this method and folds
-        their tallies in with :meth:`record_window`.
+        On a miss the line is installed with LRU replacement.
+        :class:`~repro.uarch.state.CoreUarchState` runs whole windows
+        through a fused copy of this method and folds their counts in once
+        per window.
         """
-        line = address >> self._line_shift
-        num_sets = self.num_sets
-        cache_set = self._sets[line % num_sets]
-        tag = line // num_sets
-        stats = self.stats
-        # A hit keeps the line's owner (shared address space is not
-        # modeled; same tag => same owner in practice).
-        resident = cache_set.pop(tag, None)
-        if resident is not None:
-            cache_set[tag] = resident
-            stats.hits[owner] += 1
-            return True
+        cache_set, tag = self.locate(address)
+        hit = tag in cache_set
+        if hit:
+            del cache_set[tag]
+            self.stats.hits[owner] += 1
+        else:
+            self.stats.misses[owner] += 1
+            if len(cache_set) >= self.ways:
+                del cache_set[next(iter(cache_set))]
+        cache_set[tag] = True
+        return hit
 
-        stats.misses[owner] += 1
-        if len(cache_set) >= self.ways:
-            victim_owner = cache_set.pop(next(iter(cache_set)))
-            self._occupancy[victim_owner] -= 1
-            stats.evictions_suffered[victim_owner] += 1
-            stats.evictions_caused[(owner, victim_owner)] += 1
-        cache_set[tag] = owner
-        self._occupancy[owner] += 1
-        return False
-
-    def record_window(
-        self, owner: str, hits: int, misses: int, victims: Dict[str, int]
-    ) -> None:
-        """Fold one window's tallies into :attr:`stats` and the occupancy.
-
-        ``victims`` maps each evicted line's owner to its eviction count,
-        in first-eviction order.  The result equals ``hits + misses`` calls
-        of :meth:`access` by ``owner`` with those outcomes.
-        """
-        stats = self.stats
-        occupancy = self._occupancy
-        if hits:
-            stats.hits[owner] += hits
-        if misses:
-            stats.misses[owner] += misses
-            occupancy[owner] += misses
-        for victim, count in victims.items():
-            occupancy[victim] -= count
-            stats.evictions_suffered[victim] += count
-            stats.evictions_caused[(owner, victim)] += count
-
-    def occupancy(self, owner: str) -> int:
-        """Number of lines currently owned by ``owner``."""
-        return self._occupancy[owner]
-
-    def resident_owners(self) -> Dict[str, int]:
-        """Snapshot of line counts per owner (non-zero entries only)."""
-        return {o: n for o, n in self._occupancy.items() if n > 0}
+    def resident_lines(self) -> int:
+        """Number of valid lines in the cache."""
+        return sum(len(cache_set) for cache_set in self._sets)
 
     def flush(self) -> int:
         """Invalidate everything (e.g., on CC6 entry); returns lines dropped."""
-        dropped = sum(self._occupancy.values())
+        dropped = self.resident_lines()
         for cache_set in self._sets:
             cache_set.clear()
-        self._occupancy.clear()
-        return dropped
-
-    def evict_owner(self, owner: str) -> int:
-        """Invalidate all lines of one owner (e.g., on thread exit)."""
-        dropped = 0
-        for cache_set in self._sets:
-            doomed = [tag for tag, line_owner in cache_set.items() if line_owner == owner]
-            for tag in doomed:
-                del cache_set[tag]
-                dropped += 1
-        if dropped:
-            self._occupancy[owner] -= dropped
         return dropped

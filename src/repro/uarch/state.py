@@ -3,15 +3,17 @@
 Each simulated CPU core owns a :class:`CoreUarchState`: an L1D cache model
 and a branch predictor.  User threads and kernel SSR handlers push their
 (sampled) streams through these *shared* structures, so kernel handlers
-genuinely evict user lines and retrain user predictor entries.  The core
-model converts the resulting disturbance counts into stall cycles.
+genuinely evict user lines and retrain user predictor entries, and the
+users' measured miss and mispredict rates (Figure 5) rise mechanistically.
+Nothing records which owner disturbed which: the stall cycles charged to
+an interrupted thread are analytic (see ``Core._run_kernel_window``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .branch import GShareBranchPredictor
 from .cache import SetAssociativeCache
@@ -42,22 +44,23 @@ class UarchConfig:
         return GShareBranchPredictor(self.predictor_entries, self.history_bits)
 
 
-@dataclass
-class Disturbance:
-    """What one kernel window did to a given user owner's state."""
-
-    lines_evicted: int = 0
-    entries_retrained: int = 0
-
-
 class CoreUarchState:
-    """The cache + predictor pair of one core, with disturbance accounting."""
+    """The cache + predictor pair of one core and the windows run on it."""
 
     def __init__(self, config: UarchConfig, rng: Random):
         self.config = config
         self.l1d = config.make_cache()
         self.predictor = config.make_predictor()
         self._rng = rng
+        # Index tables per stream spec, built on a spec's first window and
+        # dropped by drop_tables().  Lines: a tuple of cache sets and a
+        # tuple of tags, both indexed by the drawn line (half the memory of
+        # a (set, tag) pair per line).  Sites: the predictor index before
+        # the history XOR.
+        self._line_slots: Dict[
+            AddressStreamSpec, Tuple[Tuple[Dict[int, bool], ...], Tuple[int, ...]]
+        ] = {}
+        self._site_indices: Dict[BranchStreamSpec, List[int]] = {}
 
     # ------------------------------------------------------------------
     # Stream execution
@@ -71,10 +74,7 @@ class CoreUarchState:
         branches: int,
     ) -> Tuple[int, int]:
         """Run a sampled user window; returns (misses, mispredicts)."""
-        misses, mispredicts, _, _ = self._run_window(
-            owner, addr_spec, branch_spec, accesses, branches
-        )
-        return misses, mispredicts
+        return self._run_window(owner, addr_spec, branch_spec, accesses, branches)
 
     def run_kernel_window(
         self,
@@ -82,24 +82,19 @@ class CoreUarchState:
         branch_spec: BranchStreamSpec,
         accesses: int,
         branches: int,
-    ) -> Dict[str, Disturbance]:
-        """Run a kernel handler's stream; returns per-victim disturbance.
+    ) -> None:
+        """Run a kernel handler's stream through the shared structures.
 
-        The handler's accesses evict whoever is resident; the returned map
-        tells the core model how many lines/entries each *user* owner lost
-        to this window, so the cost can be charged when that owner resumes.
+        The handler's accesses evict whatever is resident and its branches
+        retrain shared predictor entries; user threads see that in the
+        misses and mispredicts of their next sampled windows.
         """
-        _, _, victims, retrained = self._run_window(
-            KERNEL_OWNER, addr_spec, branch_spec, accesses, branches
-        )
-        disturbances: Dict[str, Disturbance] = {}
-        for victim, count in victims.items():
-            if victim != KERNEL_OWNER:
-                disturbances[victim] = Disturbance(lines_evicted=count)
-        for victim, count in retrained.items():
-            if victim != KERNEL_OWNER:
-                disturbances.setdefault(victim, Disturbance()).entries_retrained = count
-        return disturbances
+        self._run_window(KERNEL_OWNER, addr_spec, branch_spec, accesses, branches)
+
+    def drop_tables(self) -> None:
+        """Release the per-spec index tables (they rebuild on next use)."""
+        self._line_slots.clear()
+        self._site_indices.clear()
 
     def _run_window(
         self,
@@ -108,22 +103,23 @@ class CoreUarchState:
         branch_spec: BranchStreamSpec,
         accesses: int,
         branches: int,
-    ) -> Tuple[int, int, Dict[str, int], Dict[str, int]]:
+    ) -> Tuple[int, int]:
         """Push ``accesses`` sampled data accesses, then ``branches`` sampled
         branches, of ``owner`` through the cache and the predictor.
 
-        Returns (misses, mispredicts, lines evicted per victim owner,
-        predictor entries retrained per previous owner).
+        Returns (misses, mispredicts).
 
         This is the simulator's hottest loop, so it is one fused loop: the
         stream draws, :meth:`SetAssociativeCache.access` and
         :meth:`GShareBranchPredictor.execute` are inlined, and the window's
-        tallies are folded into the stats once at the end.  The result is
+        counts are folded into the stats once at the end.  The result is
         bit-for-bit that of calling those methods once per drawn access and
         branch: the same Mersenne Twister words in the same order, the same
-        victims, the same counters.  A draw below n is
+        LRU order, the same counters.  A draw below n is
         ``Random._randbelow``'s rejection sampling on ``getrandbits(k)``
         with ``k = n.bit_length()``, written out to skip its Python frame.
+        A drawn line or site is looked up in a per-spec table instead of
+        recomputing its address, set, tag or predictor index.
         """
         rng = self._rng
         random = rng.random
@@ -131,13 +127,18 @@ class CoreUarchState:
 
         # Data accesses: a hot subset or the whole working set, then LRU.
         l1d = self.l1d
-        sets, ways, num_sets, line_shift = l1d._sets, l1d.ways, l1d.num_sets, l1d._line_shift
-        base, lines = addr_spec.base, addr_spec.lines
-        hot_rate, line_size = addr_spec.hot_rate, addr_spec.line_size
+        ways = l1d.ways
+        lines = addr_spec.lines
+        slots = self._line_slots.get(addr_spec)
+        if slots is None:
+            locate, base, line_size = l1d.locate, addr_spec.base, addr_spec.line_size
+            slots = tuple(zip(*[locate(base + line * line_size) for line in range(lines)]))
+            self._line_slots[addr_spec] = slots
+        set_of, tag_of = slots
+        hot_rate = addr_spec.hot_rate
         hot_lines = max(1, int(lines * addr_spec.hot_fraction))
         hot_bits, lines_bits = hot_lines.bit_length(), lines.bit_length()
-        hits = 0
-        victims: Dict[str, int] = {}
+        misses = 0
         for _ in range(accesses):
             if random() < hot_rate:
                 line = getrandbits(hot_bits)
@@ -147,37 +148,46 @@ class CoreUarchState:
                 line = getrandbits(lines_bits)
                 while line >= lines:
                     line = getrandbits(lines_bits)
-            line = (base + line * line_size) >> line_shift
-            cache_set = sets[line % num_sets]
-            tag = line // num_sets
-            resident = cache_set.pop(tag, None)
-            if resident is not None:
-                cache_set[tag] = resident
-                hits += 1
-                continue
-            if len(cache_set) >= ways:
-                victim = cache_set.pop(next(iter(cache_set)))
-                victims[victim] = victims.get(victim, 0) + 1
-            cache_set[tag] = owner
-        misses = accesses - hits
-        l1d.record_window(owner, hits, misses, victims)
+            cache_set = set_of[line]
+            tag = tag_of[line]
+            if tag in cache_set:
+                del cache_set[tag]
+            else:
+                misses += 1
+                if len(cache_set) >= ways:
+                    del cache_set[next(iter(cache_set))]
+            cache_set[tag] = True
+        hits = accesses - misses
+        stats = l1d.stats
+        if hits:
+            stats.hits[owner] += hits
+        if misses:
+            stats.misses[owner] += misses
 
         # Branches: a site, then its majority direction with probability bias.
         predictor = self.predictor
-        table, owners, table_size = predictor._table, predictor._owners, predictor.table_size
+        table, table_size = predictor._table, predictor.table_size
         history, history_mask = predictor._history, predictor._history_mask
-        # (base_pc + 4 * site) >> 2 == (base_pc >> 2) + site, exactly.
-        pc_index, sites, bias = branch_spec.base_pc >> 2, branch_spec.sites, branch_spec.bias
+        sites, bias = branch_spec.sites, branch_spec.bias
+        site_indices = self._site_indices.get(branch_spec)
+        if site_indices is None:
+            # (base_pc + 4 * site) >> 2 == (base_pc >> 2) + site, exactly.
+            pc_index = branch_spec.base_pc >> 2
+            site_indices = [(pc_index + site) % table_size for site in range(sites)]
+            self._site_indices[branch_spec] = site_indices
+        # table_size is a power of two, so (i ^ h) % table_size equals
+        # (i % table_size) ^ (h % table_size).
+        index_mask = table_size - 1
+        low_history = history & index_mask
         sites_bits = sites.bit_length()
         mispredicts = 0
-        retrained: Dict[str, int] = {}
         for _ in range(branches):
             site = getrandbits(sites_bits)
             while site >= sites:
                 site = getrandbits(sites_bits)
             # The majority direction is taken for even sites.
-            taken = (random() < bias) == (not (site & 1))
-            index = ((pc_index + site) ^ history) % table_size
+            taken = (random() < bias) ^ (site & 1)
+            index = site_indices[site] ^ low_history
             counter = table[index]  # 2-bit: 0-1 predict not taken, 2-3 taken
             if taken:
                 if counter < 2:
@@ -189,16 +199,16 @@ class CoreUarchState:
                     mispredicts += 1
                 if counter:
                     table[index] = counter - 1
-            previous_owner = owners[index]
-            if previous_owner != owner:
-                if previous_owner is not None:
-                    retrained[previous_owner] = retrained.get(previous_owner, 0) + 1
-                owners[index] = owner
             if history_mask:
                 history = ((history << 1) | taken) & history_mask
+                low_history = history & index_mask
         predictor._history = history
-        predictor.record_window(owner, branches, mispredicts, retrained)
-        return misses, mispredicts, victims, retrained
+        stats = predictor.stats
+        if branches:
+            stats.predictions[owner] += branches
+        if mispredicts:
+            stats.mispredictions[owner] += mispredicts
+        return misses, mispredicts
 
     # ------------------------------------------------------------------
     # Sleep-state interaction

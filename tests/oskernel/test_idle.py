@@ -28,10 +28,10 @@ class TestSleepEntry:
     def test_cache_flushed_on_entry(self, kernel):
         core = kernel.cores[0]
         core.uarch.l1d.access(0x1000, "someone")
-        assert core.uarch.l1d.occupancy("someone") == 1
+        assert core.uarch.l1d.resident_lines() == 1
         kernel.env.run(until=2_000_000)
         assert core.is_sleeping
-        assert core.uarch.l1d.occupancy("someone") == 0
+        assert all(not cache_set for cache_set in core.uarch.l1d._sets)
 
 
 class TestWakeup:

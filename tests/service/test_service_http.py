@@ -7,8 +7,10 @@ bounded-queue 429 + ``Retry-After``, QoS back-off under a burst, graceful
 drain, and byte-for-byte equality with the CLI's ``--json`` output.
 """
 
+import http.client
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -228,6 +230,24 @@ class TestApiSurface:
             client.wait(body["job"]["id"], timeout_s=60)
             listing = client.jobs()
             assert [j["id"] for j in listing["jobs"]] == [body["job"]["id"]]
+
+    def test_keep_alive_round_trips_are_not_delayed(self):
+        # The handler writes headers and body separately; with Nagle's
+        # algorithm on, each body waits for the client's delayed ACK
+        # (~40 ms on Linux) on a kept-alive connection.
+        with service() as (svc, client):
+            connection = http.client.HTTPConnection(svc.host, svc.port, timeout=10)
+            try:
+                round_trips = []
+                for _ in range(20):
+                    start = time.perf_counter()
+                    connection.request("GET", "/healthz")
+                    response = connection.getresponse()
+                    assert json.loads(response.read())["status"] == "ok"
+                    round_trips.append(time.perf_counter() - start)
+            finally:
+                connection.close()
+            assert statistics.median(round_trips) < 0.020, round_trips
 
 
 def _spec_args(spec):

@@ -3,22 +3,15 @@
 ``CoreUarchState`` runs each window through one fused loop.  This module
 keeps the unfused form it must equal bit for bit: stream generators that
 draw through ``Random._randbelow``, fed one access at a time into
-:meth:`SetAssociativeCache.access` and :meth:`GShareBranchPredictor.execute`,
-with the kernel window's disturbance read off the stats counters.
+:meth:`SetAssociativeCache.access` and :meth:`GShareBranchPredictor.execute`.
 """
 
 from __future__ import annotations
 
 from random import Random
-from typing import Dict, Iterator, Tuple
+from typing import Iterator, Tuple
 
-from repro.uarch import (
-    KERNEL_OWNER,
-    AddressStreamSpec,
-    BranchStreamSpec,
-    Disturbance,
-    UarchConfig,
-)
+from repro.uarch import KERNEL_OWNER, AddressStreamSpec, BranchStreamSpec, UarchConfig
 
 
 def generate_addresses(spec: AddressStreamSpec, count: int, rng: Random) -> Iterator[int]:
@@ -63,20 +56,7 @@ class ReferenceUarchState:
         return misses, mispredicts
 
     def run_kernel_window(self, addr_spec, branch_spec, accesses, branches):
-        evictions = self.l1d.stats.evictions_caused
-        retrains = self.predictor.stats.entries_disturbed
-        evictions_before, retrains_before = dict(evictions), dict(retrains)
         self.run_user_window(KERNEL_OWNER, addr_spec, branch_spec, accesses, branches)
-        disturbances: Dict[str, Disturbance] = {}
-        for (source, victim), count in evictions.items():
-            delta = count - evictions_before.get((source, victim), 0)
-            if source == KERNEL_OWNER and victim != KERNEL_OWNER and delta > 0:
-                disturbances.setdefault(victim, Disturbance()).lines_evicted += delta
-        for (source, victim), count in retrains.items():
-            delta = count - retrains_before.get((source, victim), 0)
-            if source == KERNEL_OWNER and victim != KERNEL_OWNER and delta > 0:
-                disturbances.setdefault(victim, Disturbance()).entries_retrained += delta
-        return disturbances
 
     def flush_for_deep_sleep(self) -> int:
         return self.l1d.flush()

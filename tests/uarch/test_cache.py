@@ -1,4 +1,4 @@
-"""Unit tests for the owner-tagged set-associative cache."""
+"""Unit tests for the set-associative LRU cache."""
 
 import pytest
 
@@ -67,21 +67,24 @@ class TestLruReplacement:
         assert cache.access(b, "x") is False  # b was the victim
 
     def test_eviction_records_victim_owner(self, cache):
+        # The attacker's install evicts the victim's LRU line; the victim
+        # sees that as a miss on its own counter.
         set_stride = 4 * 64
         cache.access(0, "victim")
         cache.access(set_stride, "victim")
         cache.access(2 * set_stride, "attacker")
-        assert cache.stats.evictions_suffered["victim"] == 1
-        assert cache.stats.evictions_caused[("attacker", "victim")] == 1
+        assert cache.access(0, "victim") is False
+        assert cache.stats.misses["victim"] == 3
+        assert cache.stats.misses["attacker"] == 1
 
     def test_occupancy_tracks_eviction(self, cache):
         set_stride = 4 * 64
         cache.access(0, "a")
         cache.access(set_stride, "a")
-        assert cache.occupancy("a") == 2
+        assert cache.resident_lines() == 2
         cache.access(2 * set_stride, "b")
-        assert cache.occupancy("a") == 1
-        assert cache.occupancy("b") == 1
+        assert cache.resident_lines() == 2
+        assert list(cache._sets[0]) == [1, 2]  # tags in LRU order
 
 
 class TestMaintenance:
@@ -90,21 +93,8 @@ class TestMaintenance:
             cache.access(i * 64, "a")
         dropped = cache.flush()
         assert dropped == 8
-        assert cache.occupancy("a") == 0
+        assert cache.resident_lines() == 0
         assert cache.access(0, "a") is False
-
-    def test_evict_owner_is_selective(self, cache):
-        cache.access(0, "a")
-        cache.access(64, "b")
-        dropped = cache.evict_owner("a")
-        assert dropped == 1
-        assert cache.occupancy("a") == 0
-        assert cache.access(64, "b") is True
-
-    def test_resident_owners_snapshot(self, cache):
-        cache.access(0, "a")
-        cache.access(64, "b")
-        assert cache.resident_owners() == {"a": 1, "b": 1}
 
     def test_stats_reset(self, cache):
         cache.access(0, "a")

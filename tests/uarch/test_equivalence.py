@@ -5,8 +5,9 @@ access and the predictor update, and folds its tallies into the stats once
 per window.  Random interleavings of user windows, kernel windows and
 flushes must leave it in exactly the state the per-access model of
 :mod:`tests.uarch.reference` reaches: the same return values, counters
-(with their key order), occupancy, per-set LRU order, predictor tables and
-RNG state.
+(with their key order), per-set LRU order, predictor tables, history and
+RNG state.  The fused loop's per-spec index tables persist across windows,
+so reused specs and ``drop_tables`` calls are part of the interleavings.
 """
 
 import random
@@ -46,15 +47,16 @@ _branch_specs = st.builds(
 
 _counts = st.integers(min_value=0, max_value=160)
 
+_specs = st.integers(min_value=0, max_value=2)  # index into the example's spec pools
+
 _steps = st.one_of(
     st.tuples(
-        st.just("user"), st.sampled_from(["a", "b", "c"]),
-        _address_specs, _branch_specs, _counts, _counts,
+        st.just("user"), st.sampled_from(["a", "b", "c"]), _specs, _specs, _counts, _counts,
     ),
-    st.tuples(st.just("kernel"), _address_specs, _branch_specs, _counts, _counts),
+    st.tuples(st.just("kernel"), _specs, _specs, _counts, _counts),
     st.tuples(st.just("flush")),
+    st.tuples(st.just("drop_tables")),
 )
-
 
 def _snapshot(state):
     """Everything the window API can change, with dict key order kept."""
@@ -66,36 +68,41 @@ def _snapshot(state):
     return {
         "hits": items(cache.stats.hits),
         "misses": items(cache.stats.misses),
-        "evictions_suffered": items(cache.stats.evictions_suffered),
-        "evictions_caused": items(cache.stats.evictions_caused),
-        "occupancy": items(cache._occupancy),
-        "sets": [list(cache_set.items()) for cache_set in cache._sets],
+        "sets": [list(cache_set) for cache_set in cache._sets],
         "predictions": items(predictor.stats.predictions),
         "mispredictions": items(predictor.stats.mispredictions),
-        "entries_disturbed": items(predictor.stats.entries_disturbed),
         "table": list(predictor._table),
-        "owners": list(predictor._owners),
         "history": predictor._history,
         "rng": state._rng.getstate(),
     }
 
 
-@given(config=_configs, seed=st.integers(min_value=0, max_value=2**32), steps=st.lists(_steps, max_size=12))
+@given(
+    config=_configs,
+    seed=st.integers(min_value=0, max_value=2**32),
+    addr_pool=st.lists(_address_specs, min_size=3, max_size=3),
+    branch_pool=st.lists(_branch_specs, min_size=3, max_size=3),
+    steps=st.lists(_steps, max_size=12),
+)
 @settings(max_examples=60, deadline=None)
-def test_fused_windows_match_per_access_reference(config, seed, steps):
+def test_fused_windows_match_per_access_reference(config, seed, addr_pool, branch_pool, steps):
     fused = CoreUarchState(config, random.Random(seed))
     reference = ReferenceUarchState(config, random.Random(seed))
     for step in steps:
-        kind, args = step[0], step[1:]
-        if kind == "user":
-            got, want = fused.run_user_window(*args), reference.run_user_window(*args)
-        elif kind == "kernel":
-            got, want = fused.run_kernel_window(*args), reference.run_kernel_window(*args)
-        else:
+        kind = step[0]
+        if kind in ("user", "kernel"):
+            owner = step[1:-4]
+            addr, branch, accesses, branches = step[-4:]
+            args = (*owner, addr_pool[addr], branch_pool[branch], accesses, branches)
+            method = f"run_{kind}_window"
+            got = getattr(fused, method)(*args)
+            want = getattr(reference, method)(*args)
+        elif kind == "flush":
             got, want = fused.flush_for_deep_sleep(), reference.flush_for_deep_sleep()
+        else:
+            got, want = fused.drop_tables(), None
         assert got == want, step
         assert _snapshot(fused) == _snapshot(reference), step
-
 
 def _draws(hot: bool):
     """For every n in 1..4096, one access and one branch window over n
@@ -115,7 +122,8 @@ def _draws(hot: bool):
         site = expected._randbelow(n)
         expected.random()
         assert list(state.l1d._sets[0]) == [line], n
-        assert state.predictor._owners.index("u") == site, n
+        trained = [i for i, counter in enumerate(state.predictor._table) if counter != 1]
+        assert trained == [site], n
         assert state._rng.getstate() == expected.getstate(), n
 
 

@@ -19,20 +19,23 @@ class TestCacheInvariants:
         cache = SetAssociativeCache(num_sets=4, ways=2)
         for address, owner in accesses:
             cache.access(address, owner)
-            total = sum(cache.resident_owners().values())
-            assert total <= cache.total_lines
+            assert cache.resident_lines() <= cache.total_lines
 
     @given(accesses=st.lists(_access, min_size=1, max_size=300))
     @settings(max_examples=50, deadline=None)
-    def test_occupancy_equals_installs_minus_evictions(self, accesses):
+    def test_each_set_keeps_its_most_recent_distinct_lines(self, accesses):
         cache = SetAssociativeCache(num_sets=4, ways=2)
+        recent = [[] for _ in range(4)]
         for address, owner in accesses:
             cache.access(address, owner)
-        for owner in ("a", "b", "kernel"):
-            expected = (
-                cache.stats.misses[owner] - cache.stats.evictions_suffered[owner]
-            )
-            assert cache.occupancy(owner) == expected
+            line = address >> 6
+            tags = recent[line % 4]
+            if line // 4 in tags:
+                tags.remove(line // 4)
+            tags.append(line // 4)
+        assert [list(cache_set) for cache_set in cache._sets] == [
+            tags[-2:] for tags in recent
+        ]
 
     @given(accesses=st.lists(_access, min_size=1, max_size=300))
     @settings(max_examples=50, deadline=None)
@@ -60,7 +63,8 @@ class TestCacheInvariants:
         for address, owner in accesses:
             cache.access(address, owner)
         cache.flush()
-        assert cache.resident_owners() == {}
+        assert cache.resident_lines() == 0
+        assert all(not cache_set for cache_set in cache._sets)
 
 
 _branch = st.tuples(
@@ -93,14 +97,6 @@ class TestPredictorInvariants:
                 predictor.stats.mispredictions[owner]
                 <= predictor.stats.predictions[owner]
             )
-
-    @given(branches=st.lists(_branch, min_size=1, max_size=200))
-    @settings(max_examples=50, deadline=None)
-    def test_owned_entries_bounded_by_table(self, branches):
-        predictor = GShareBranchPredictor(table_size=32, history_bits=0)
-        for pc, taken, owner in branches:
-            predictor.execute(pc, taken, owner)
-        assert predictor.owned_entries("a") + predictor.owned_entries("b") <= 32
 
     @given(
         pc=st.integers(min_value=0, max_value=2**16),

@@ -4,13 +4,16 @@ import random
 
 import pytest
 
+from repro import System, SystemConfig
 from repro.uarch import (
     AddressStreamSpec,
     BranchStreamSpec,
+    KERNEL_OWNER,
     CoreUarchState,
     UarchConfig,
     measure_steady_state,
 )
+from repro.workloads import gpu_app, parsec
 
 
 @pytest.fixture
@@ -48,28 +51,41 @@ class TestUserWindow:
     def test_occupancy_builds(self, state):
         addr, branch = _user_specs(lines=16)
         state.run_user_window("u", addr, branch, 200, 10)
-        assert state.l1d.occupancy("u") > 0
+        assert state.l1d.resident_lines() > 0
 
 
 class TestKernelWindow:
-    def test_disturbance_reported_per_victim(self, state):
+    def test_disturbance_reported_per_victim(self):
+        # The kernel window evicts the victim's lines, so the victim's next
+        # window misses more than it does when nothing ran in between.
         user_addr, user_branch = _user_specs(lines=64)
-        state.run_user_window("victim", user_addr, user_branch, 400, 100)
         kernel_addr, kernel_branch = _kernel_specs()
-        disturbances = state.run_kernel_window(kernel_addr, kernel_branch, 128, 64)
-        assert "victim" in disturbances
-        assert disturbances["victim"].lines_evicted > 0
+        after = {}
+        for polluted in (False, True):
+            state = CoreUarchState(UarchConfig(cache_sets=16, cache_ways=4), random.Random(0))
+            state.run_user_window("victim", user_addr, user_branch, 400, 100)
+            if polluted:
+                state.run_kernel_window(kernel_addr, kernel_branch, 256, 64)
+            after[polluted], _ = state.run_user_window("victim", user_addr, user_branch, 64, 0)
+        assert after[True] > after[False]
 
     def test_no_disturbance_on_empty_cache(self, state):
         kernel_addr, kernel_branch = _kernel_specs()
-        disturbances = state.run_kernel_window(kernel_addr, kernel_branch, 64, 32)
-        assert disturbances == {}
+        assert state.run_kernel_window(kernel_addr, kernel_branch, 64, 32) is None
+        assert set(state.l1d.stats.misses) == {KERNEL_OWNER}
+        assert set(state.predictor.stats.predictions) == {KERNEL_OWNER}
 
     def test_kernel_self_eviction_not_reported(self, state):
+        # Kernel windows count only against the kernel, even when they
+        # replace the kernel's own lines.
+        user_addr, user_branch = _user_specs()
+        state.run_user_window("u", user_addr, user_branch, 100, 10)
+        user_counts = (state.l1d.stats.hits["u"], state.l1d.stats.misses["u"])
         kernel_addr, kernel_branch = _kernel_specs()
         state.run_kernel_window(kernel_addr, kernel_branch, 200, 64)
-        disturbances = state.run_kernel_window(kernel_addr, kernel_branch, 200, 64)
-        assert "kernel" not in disturbances
+        state.run_kernel_window(kernel_addr, kernel_branch, 200, 64)
+        assert (state.l1d.stats.hits["u"], state.l1d.stats.misses["u"]) == user_counts
+        assert state.l1d.stats.hits[KERNEL_OWNER] + state.l1d.stats.misses[KERNEL_OWNER] == 400
 
 
 class TestSleep:
@@ -77,7 +93,43 @@ class TestSleep:
         addr, branch = _user_specs()
         state.run_user_window("u", addr, branch, 100, 10)
         assert state.flush_for_deep_sleep() > 0
-        assert state.l1d.occupancy("u") == 0
+        assert all(not cache_set for cache_set in state.l1d._sets)
+
+
+class TestIndexTables:
+    def test_tables_built_on_first_use_and_dropped(self, state):
+        addr, branch = _user_specs()
+        state.run_user_window("u", addr, branch, 10, 10)
+        set_of, tag_of = state._line_slots[addr]
+        assert len(set_of) == len(tag_of) == addr.lines
+        assert len(state._site_indices[branch]) == branch.sites
+        state.drop_tables()
+        assert not state._line_slots and not state._site_indices
+
+    def test_system_run_releases_tables(self, monkeypatch):
+        # A finished System lives until the cyclic GC collects it, so its
+        # cores must not keep their tables that long (peak RSS).
+        dropped = []
+        drop_tables = CoreUarchState.drop_tables
+
+        def recording(self):
+            dropped.append(len(self._line_slots) + len(self._site_indices))
+            drop_tables(self)
+
+        monkeypatch.setattr(CoreUarchState, "drop_tables", recording)
+        for _ in range(2):
+            system = System(SystemConfig(seed=42))
+            assert all(_no_tables(core.uarch) for core in system.kernel.cores)
+            system.add_cpu_app(parsec("x264"))
+            system.add_gpu_workload(gpu_app("ubench"))
+            system.run(1_000_000)
+            assert all(_no_tables(core.uarch) for core in system.kernel.cores)
+        assert len(dropped) == 2 * len(system.kernel.cores)
+        assert sum(dropped) > 0
+
+
+def _no_tables(state):
+    return not state._line_slots and not state._site_indices
 
 
 class TestSteadyState:
