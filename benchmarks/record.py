@@ -425,7 +425,6 @@ def main(argv=None) -> int:
             "workers": report.workers,
             "plan_s": round(report.plan_s, 3),
             "execute_s": round(report.execute_s, 3),
-            "predicted_core_s": round(report.predicted_core_s, 3),
             "failed": len(report.failed),
         }
         if report.pool:

@@ -31,20 +31,16 @@ from .pool import (
     PoolStats,
     WorkerPool,
     configure_pool,
-    order_longest_first,
     shared_pool,
     shared_pool_stats,
     shutdown_shared_pool,
 )
 from .runcache import (
-    CostModel,
     DiskCache,
     RunKey,
     code_fingerprint,
-    cost_model,
     reset_code_fingerprint,
     run_key_digest,
-    set_cost_ledger,
 )
 from .pareto import (
     ParetoPoint,
@@ -65,7 +61,6 @@ from .tracing import (
 from .system import DEFAULT_HORIZON_NS, System
 
 __all__ = [
-    "CostModel",
     "CpuAppMetrics",
     "DEFAULT_HORIZON_NS",
     "DiskCache",
@@ -82,11 +77,9 @@ __all__ = [
     "code_fingerprint",
     "configure_disk_cache",
     "configure_pool",
-    "cost_model",
     "execute_runs",
     "get_disk_cache",
     "make_run_key",
-    "order_longest_first",
     "plan_runs",
     "planning",
     "planning_active",
@@ -94,7 +87,6 @@ __all__ = [
     "reset_code_fingerprint",
     "resolve_jobs",
     "run_key_digest",
-    "set_cost_ledger",
     "set_disk_cache",
     "shared_pool",
     "shared_pool_stats",

@@ -24,8 +24,6 @@ fan the unique runs out over a worker pool.
 
 from __future__ import annotations
 
-import os
-import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Set
 
@@ -33,13 +31,7 @@ from ..config import SystemConfig
 from ..oskernel import accounting as acct
 from ..workloads import gpu_app, parsec
 from .metrics import CpuAppMetrics, GpuMetrics, SystemMetrics
-from .runcache import (
-    COST_LEDGER_NAME,
-    DiskCache,
-    RunKey,
-    cost_model,
-    set_cost_ledger,
-)
+from .runcache import DiskCache, RunKey
 from .system import DEFAULT_HORIZON_NS, System
 
 _CACHE: Dict[RunKey, SystemMetrics] = {}
@@ -60,17 +52,9 @@ def clear_cache() -> None:
 
 
 def set_disk_cache(cache: Optional[DiskCache]) -> None:
-    """Install (or with ``None`` remove) the process-wide disk cache.
-
-    The run-cost ledger lives alongside the result entries, so attaching
-    a disk cache also re-seeds the cost model from that directory's past
-    timings (and detaching resets it to memory-only).
-    """
+    """Install (or with ``None`` remove) the process-wide disk cache."""
     global _DISK_CACHE
     _DISK_CACHE = cache
-    set_cost_ledger(
-        os.path.join(cache.directory, COST_LEDGER_NAME) if cache is not None else None
-    )
 
 
 def get_disk_cache() -> Optional[DiskCache]:
@@ -125,17 +109,11 @@ def cache_lookup(key: RunKey) -> Optional[SystemMetrics]:
     return None
 
 
-def cache_store(
-    key: RunKey, metrics: SystemMetrics, elapsed_s: Optional[float] = None
-) -> None:
-    """Record a finished run in both cache levels.
-
-    ``elapsed_s`` (when the caller timed the run) is persisted with the
-    disk entry so the cost model can be rebuilt from the cache directory.
-    """
+def cache_store(key: RunKey, metrics: SystemMetrics) -> None:
+    """Record a finished run in both cache levels."""
     _CACHE[key] = metrics
     if _DISK_CACHE is not None:
-        _DISK_CACHE.put(key, metrics, elapsed_s=elapsed_s)
+        _DISK_CACHE.put(key, metrics)
 
 
 def planning_active() -> bool:
@@ -231,11 +209,8 @@ def run_workloads(
     cached = cache_lookup(key)
     if cached is not None:
         return cached
-    begin = time.perf_counter()
     metrics = simulate_run(key)
-    elapsed_s = time.perf_counter() - begin
-    cost_model().observe(key, elapsed_s)
-    cache_store(key, metrics, elapsed_s=elapsed_s)
+    cache_store(key, metrics)
     return metrics
 
 

@@ -9,10 +9,9 @@ serial sweep into a three-phase pipeline:
    run keys it would need and returns placeholders, so planning costs
    milliseconds.  Keys are deduplicated across experiments — most figures
    share baselines.
-2. **Execute** — the unique, not-yet-cached keys are dispatched
-   longest-predicted-first (see
-   :class:`~repro.core.runcache.CostModel`) onto the persistent warm
-   worker pool (:mod:`repro.core.pool`).  Workers run the exact same
+2. **Execute** — the unique, not-yet-cached keys are dispatched in
+   planned order onto the persistent warm worker pool
+   (:mod:`repro.core.pool`).  Workers run the exact same
    :func:`~repro.core.experiment.simulate_run` as the serial path, so
    results are bit-for-bit identical serial or pooled, in any dispatch
    order; the parent stores each result in both cache levels
@@ -38,8 +37,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import experiment as _experiment
-from .pool import order_longest_first, run_label, run_task, shared_pool
-from .runcache import RunKey, cost_model
+from .pool import run_label, run_task, shared_pool
+from .runcache import RunKey
 
 #: Ring capacity of each worker's private tracer (events per run).
 WORKER_TRACE_CAPACITY = 200_000
@@ -68,9 +67,6 @@ class PrewarmReport:
     #: Keys that did not produce a result, with the worker's traceback
     #: (or death notice).  The rest of the batch still completed.
     failed: List[Tuple[RunKey, str]] = field(default_factory=list)
-    #: Cost-model estimate of the batch, summed over pending keys —
-    #: reported to the service governor *before* execution.
-    predicted_core_s: float = 0.0
     #: Warm-pool stats snapshot taken after the batch (empty when the
     #: batch ran serially).
     pool: Dict[str, float] = field(default_factory=dict)
@@ -174,14 +170,12 @@ def execute_runs(
     """Simulate ``keys`` on a worker pool, filling both cache levels.
 
     Keys already satisfied by a cache level are not dispatched; the rest
-    are ordered longest-predicted-first by the cost model (the batch
-    makespan is then bounded by the longest run, not an unlucky tail)
-    and the batch estimate lands in ``report.predicted_core_s`` before
-    anything executes.  With ``jobs == 1`` the runs execute in-process
-    (no pool), which keeps the serial path free of multiprocessing
-    machinery; otherwise they go to ``pool`` or, by default, the
-    process-wide warm pool (:func:`~repro.core.pool.shared_pool` —
-    spawned once, reused across batches).  Both paths run the identical
+    go out in the order given (:func:`plan_runs` order is deterministic).
+    With ``jobs == 1`` the runs execute in-process (no pool), which keeps
+    the serial path free of multiprocessing machinery; otherwise they go
+    to ``pool`` or, by default, the process-wide warm pool
+    (:func:`~repro.core.pool.shared_pool` — spawned once, reused across
+    batches).  Both paths run the identical
     :func:`~repro.core.pool.run_task`, so results are byte-for-byte the
     same whichever dispatched them.
 
@@ -218,18 +212,13 @@ def execute_runs(
                 continue
         pending.append(key)
 
-    model = cost_model()
-    pending = order_longest_first(pending)
-    report.predicted_core_s = sum(model.predict(key) for key in pending)
-
     capture = trace_capacity if tracer is not None and tracer.enabled else 0
 
     def context_for(key: RunKey) -> Optional[dict]:
         return span_context_for(key) if span_context_for is not None else None
 
-    def completed(key: RunKey, metrics, events, info, elapsed_s: float) -> None:
-        model.observe(key, elapsed_s)
-        _experiment.cache_store(key, metrics, elapsed_s=elapsed_s)
+    def completed(key: RunKey, metrics, events, info) -> None:
+        _experiment.cache_store(key, metrics)
         if events:
             _merge_worker_trace(tracer, run_label(key), events)
         if collector is not None and info and info.get("profile"):
@@ -243,7 +232,6 @@ def execute_runs(
 
     if pool is None and (report.workers == 1 or len(pending) <= 1):
         for key in pending:
-            begin = time.perf_counter()
             try:
                 metrics, events, info = run_task(
                     key, capture, context_for(key),
@@ -252,7 +240,7 @@ def execute_runs(
             except Exception:
                 failed(key, traceback.format_exc(limit=20))
                 continue
-            completed(key, metrics, events, info, time.perf_counter() - begin)
+            completed(key, metrics, events, info)
     else:
         if pool is None:
             pool = shared_pool(report.workers)
@@ -264,7 +252,7 @@ def execute_runs(
             key = pending[result.index]
             if result.ok:
                 metrics, events, info = result.payload
-                completed(key, metrics, events, info, result.elapsed_s)
+                completed(key, metrics, events, info)
             else:
                 failed(key, result.error or "unknown worker failure")
         report.pool = pool.stats_document()

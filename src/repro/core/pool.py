@@ -30,13 +30,7 @@ The pool never touches simulation semantics: workers run the same
 :func:`repro.core.experiment.simulate_run` as the serial path, results
 are keyed, and the caches are filled in the parent — so pooled and
 serial results are byte-for-byte identical regardless of dispatch
-order.
-
-Dispatch order itself comes from the cost model
-(:class:`repro.core.runcache.CostModel`): pending keys are sorted
-longest-predicted-first (:func:`order_longest_first`), which bounds a
-batch's makespan by its longest run instead of whichever unlucky tail
-a hash-ordered dispatch would produce.
+order.  Tasks are handed out in the order the caller lists them.
 """
 
 from __future__ import annotations
@@ -53,13 +47,12 @@ from queue import Empty
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import experiment as _experiment
-from .runcache import RunKey, cost_model, run_key_digest
+from .runcache import RunKey
 
 __all__ = [
     "PoolStats",
     "WorkerPool",
     "configure_pool",
-    "order_longest_first",
     "run_label",
     "run_task",
     "shared_pool",
@@ -70,9 +63,6 @@ __all__ = [
 #: Planned worker retirement: after this many tasks a worker exits and is
 #: respawned on demand (bounds slow leaks over a daemon's lifetime).
 DEFAULT_RECYCLE_AFTER = 256
-
-#: Override the multiprocessing start method (``fork``/``spawn``/...).
-_START_ENV = "HISS_POOL_START"
 
 #: Module defaults, adjustable via :func:`configure_pool` (daemon flags).
 _DEFAULTS = {"recycle_after": DEFAULT_RECYCLE_AFTER, "start_method": None}
@@ -95,13 +85,11 @@ def default_start_method() -> str:
     """The multiprocessing start method for workers.
 
     ``fork`` where available (workers inherit the parent's already-warm
-    imports for free); ``spawn`` elsewhere.  ``HISS_POOL_START`` or
-    :func:`configure_pool` overrides — the service bench uses ``spawn``
-    to make the cold-start cost it measures explicit.
+    imports for free); ``spawn`` elsewhere.  :func:`configure_pool`
+    overrides it.
     """
-    override = os.environ.get(_START_ENV) or _DEFAULTS["start_method"]
-    if override:
-        return override
+    if _DEFAULTS["start_method"]:
+        return _DEFAULTS["start_method"]
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
@@ -128,18 +116,6 @@ def run_label(key: RunKey) -> str:
     if config_label != "Default":
         label += f"[{config_label}]"
     return f"{label}@{horizon_ns / 1e6:g}ms"
-
-
-def order_longest_first(keys: Sequence[RunKey]) -> List[RunKey]:
-    """Cost-model dispatch order: predicted-longest first, digest ties.
-
-    Longest-job-first bounds the batch makespan by the longest single run
-    (plus one task of slack per worker); the tie-break on the stable
-    run-key digest keeps the order deterministic even before the model
-    has observed anything.
-    """
-    model = cost_model()
-    return sorted(keys, key=lambda key: (-model.predict(key), run_key_digest(key)))
 
 
 # ----------------------------------------------------------------------

@@ -171,20 +171,11 @@ class DiskCache:
             self.hits += 1
         return metrics
 
-    def put(
-        self, key: RunKey, metrics: SystemMetrics, elapsed_s: Optional[float] = None
-    ) -> str:
-        """Persist ``metrics`` under ``key`` (atomic); returns the path.
-
-        ``elapsed_s`` — the run's measured wall time — rides along in the
-        entry for the cost model; readers that predate it ignore the extra
-        field, so the entry schema is unchanged.
-        """
+    def put(self, key: RunKey, metrics: SystemMetrics) -> str:
+        """Persist ``metrics`` under ``key`` (atomic); returns the path."""
         path = self.path_for(key)
         entry = run_key_document(key, self.fingerprint)
         entry["metrics"] = metrics.as_dict()
-        if elapsed_s is not None:
-            entry["elapsed_s"] = round(float(elapsed_s), 6)
         fd, temp_path = tempfile.mkstemp(
             dir=self.directory, prefix=".tmp-", suffix=".json"
         )
@@ -209,151 +200,3 @@ class DiskCache:
             for name in os.listdir(self.directory)
             if name.endswith(".json") and not name.startswith(".tmp-")
         )
-
-
-# ----------------------------------------------------------------------
-# Run-cost model
-# ----------------------------------------------------------------------
-#: Ledger file kept next to the result entries in the cache directory.
-COST_LEDGER_NAME = "cost_ledger.jsonl"
-
-#: Last-resort cost rate (seconds of wall time per simulated nanosecond)
-#: used before any observation exists.  The absolute value barely
-#: matters — with zero observations every pending key gets the same
-#: rate, so ordering degrades to horizon-then-digest, which is still
-#: deterministic.
-DEFAULT_COST_RATE = 5e-7
-
-
-def cost_features(key: RunKey) -> Tuple[str, str, bool]:
-    """The coarse features a cost prediction can fall back on."""
-    return (key[0] or "", key[1] or "", bool(key[2]))
-
-
-class CostModel:
-    """Predicts a run's wall-clock cost from past ``elapsed_s`` observations.
-
-    Three estimators, most-specific first:
-
-    1. exact run-key digest — the same request was timed before (the
-       digest folds in the code fingerprint, so observations from an
-       older simulator never match);
-    2. per-``(cpu, gpu, ssr)`` rate × horizon — the same pairing at any
-       horizon;
-    3. global observed rate × horizon, then :data:`DEFAULT_COST_RATE`.
-
-    Observations append to a JSONL ledger (``cost_ledger.jsonl`` in the
-    run-cache directory) when one is attached, so a daemon restart or a
-    fresh CLI invocation starts with last session's timings; without a
-    ledger the model is memory-only.  All methods are thread-safe — the
-    scheduler predicts from its drain thread while worker results
-    observe concurrently.
-    """
-
-    def __init__(self, path: Optional[str] = None):
-        self.path = path
-        self._lock = threading.Lock()
-        self._by_digest: dict = {}  # digest -> [total_s, count]
-        self._by_pair: dict = {}  # (cpu, gpu, ssr) -> [total_s, total_horizon_ns]
-        self._global = [0.0, 0.0]  # [total_s, total_horizon_ns]
-        self.observations = 0
-        if path:
-            self._load(path)
-
-    def _load(self, path: str) -> None:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue  # torn final line from a crashed writer
-                    if isinstance(record, dict):
-                        self._absorb(record)
-        except OSError:
-            pass
-
-    def _absorb(self, record: dict) -> None:
-        """Fold one observation record into the estimators (caller locks)."""
-        try:
-            elapsed_s = float(record["elapsed_s"])
-            horizon_ns = float(record["horizon_ns"])
-            digest = record["digest"]
-        except (KeyError, TypeError, ValueError):
-            return
-        if elapsed_s <= 0 or horizon_ns <= 0:
-            return
-        entry = self._by_digest.setdefault(digest, [0.0, 0])
-        entry[0] += elapsed_s
-        entry[1] += 1
-        pair = (
-            record.get("cpu") or "",
-            record.get("gpu") or "",
-            bool(record.get("ssr", True)),
-        )
-        rate = self._by_pair.setdefault(pair, [0.0, 0.0])
-        rate[0] += elapsed_s
-        rate[1] += horizon_ns
-        self._global[0] += elapsed_s
-        self._global[1] += horizon_ns
-        self.observations += 1
-
-    def observe(self, key: RunKey, elapsed_s: float) -> None:
-        """Record one measured run; persists to the ledger when attached."""
-        if elapsed_s <= 0:
-            return
-        record = {
-            "digest": run_key_digest(key),
-            "cpu": key[0],
-            "gpu": key[1],
-            "ssr": bool(key[2]),
-            "horizon_ns": int(key[4]),
-            "elapsed_s": round(float(elapsed_s), 6),
-        }
-        with self._lock:
-            self._absorb(record)
-            if self.path:
-                try:
-                    with open(self.path, "a", encoding="utf-8") as handle:
-                        handle.write(
-                            json.dumps(record, sort_keys=True, separators=(",", ":"))
-                            + "\n"
-                        )
-                except OSError:
-                    pass  # a read-only cache dir degrades to memory-only
-
-    def predict(self, key: RunKey) -> float:
-        """Predicted wall seconds for ``key`` (never raises, never zero
-        for a positive horizon)."""
-        horizon_ns = float(key[4])
-        with self._lock:
-            entry = self._by_digest.get(run_key_digest(key))
-            if entry is not None and entry[1] > 0:
-                return entry[0] / entry[1]
-            rate = self._by_pair.get(cost_features(key))
-            if rate is not None and rate[1] > 0:
-                return horizon_ns * (rate[0] / rate[1])
-            if self._global[1] > 0:
-                return horizon_ns * (self._global[0] / self._global[1])
-        return horizon_ns * DEFAULT_COST_RATE
-
-
-#: The process-wide model; replaced by :func:`set_cost_ledger`.
-_COST_MODEL = CostModel()
-
-
-def cost_model() -> CostModel:
-    """The process-wide cost model (memory-only until a ledger attaches)."""
-    return _COST_MODEL
-
-
-def set_cost_ledger(path: Optional[str]) -> CostModel:
-    """Attach the cost model to a persistent ledger (``None`` detaches).
-
-    Builds a fresh model seeded from the ledger's existing observations;
-    with ``None`` the model restarts empty — which is also what test
-    isolation wants when it tears down a disk cache.
-    """
-    global _COST_MODEL
-    _COST_MODEL = CostModel(path)
-    return _COST_MODEL

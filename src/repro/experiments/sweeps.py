@@ -15,9 +15,9 @@ a time to show *why* the system behaves as it does:
 
 Each sweep names its full run batch up front (``make_run_key``) and
 pushes it through :func:`~repro.core.execute_runs` before building rows,
-so a sweep rides the warm worker pool, cost-model dispatch, and the disk
-cache, and gains a ``jobs`` parameter — with rows byte-identical to the
-old serial path because row assembly stays pure cache hits.
+so a sweep rides the warm worker pool and the disk cache, and gains a
+``jobs`` parameter — with rows byte-identical to the old serial path
+because row assembly stays pure cache hits.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .common import EXPERIMENT_HORIZON_NS, ExperimentResult, register
 def _fan_out(keys: List[RunKey], jobs: int) -> None:
     """Pre-execute a sweep's full run batch through the planner backend.
 
-    One call fills both cache levels (warm worker pool, cost-model
-    dispatch, disk cache when configured), so the row-building loops
+    One call fills both cache levels (warm worker pool, disk cache when
+    configured), so the row-building loops
     below are pure cache hits — their arithmetic is byte-identical to
     the old serial path.  During planning the keys are already being
     recorded by the ``run_workloads`` placeholders, so executing here

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
+from ..telemetry import decimate_pairs
+
 __all__ = ["DEFAULT_RING_CAPACITY", "FlightEntry", "FlightRing"]
 
 #: Default entry capacity.  512 entries comfortably cover minutes of ops
@@ -95,13 +97,9 @@ class FlightRing:
         if len(self.entries) >= self.capacity:
             # Deterministic decimation, mirroring RollupStore._append:
             # merge adjacent pairs (later payload wins, weights add).
-            merged = [
-                self.entries[i + 1].absorb(self.entries[i])
-                for i in range(0, len(self.entries) - 1, 2)
-            ]
-            if len(self.entries) % 2:
-                merged.append(self.entries[-1])
-            self.entries = merged
+            self.entries = decimate_pairs(
+                self.entries, lambda earlier, later: later.absorb(earlier)
+            )
             self.decimations += 1
         return entry
 

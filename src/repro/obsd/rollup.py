@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..telemetry.metrics import Histogram
+from ..telemetry.metrics import Histogram, decimate_pairs
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -167,23 +167,13 @@ class RollupStore:
         self._append(bucket)
         return bucket
 
-    def observe_bucket(self, bucket: RollupBucket) -> None:
-        """Append an already-windowed bucket (the offline replay path)."""
-        self._append(bucket)
-
     def _append(self, bucket: RollupBucket) -> None:
         self.buckets.append(bucket)
         if len(self.buckets) >= self.capacity:
             # Deterministic decimation: merge adjacent pairs, double the
             # interval.  Counter sums and histogram merges lose nothing;
             # only the bucket boundaries coarsen.
-            merged = [
-                self.buckets[i].merge(self.buckets[i + 1])
-                for i in range(0, len(self.buckets) - 1, 2)
-            ]
-            if len(self.buckets) % 2:
-                merged.append(self.buckets[-1])
-            self.buckets = merged
+            self.buckets = decimate_pairs(self.buckets, RollupBucket.merge)
             self.interval_s *= 2
             self.decimations += 1
 

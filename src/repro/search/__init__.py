@@ -18,7 +18,7 @@ hand-picked grid:
   the current frontier) with zero reliance on global ``random`` state;
 * :mod:`repro.search.driver` — the budgeted successive-rounds loop:
   every candidate batch rides :func:`~repro.core.execute_runs` (warm
-  worker pool, cost-model LJF dispatch, two-level run cache), the
+  worker pool, two-level run cache), the
   archive lives on :func:`~repro.core.pareto_frontier_map`, and every
   evaluated point journals to a resumable JSONL sweep-state file;
 * :mod:`repro.search.report` — frontier text table and a self-contained

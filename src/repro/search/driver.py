@@ -7,9 +7,8 @@ One sweep is a sequence of *rounds*.  Each round:
    (seed, round index, current frontier, evaluated set);
 2. pushes the batch's run keys through
    :func:`~repro.core.execute_runs`, so every evaluation rides the warm
-   :class:`~repro.core.WorkerPool`, the cost model's longest-first
-   dispatch, and both run-cache levels (a repeated or resumed sweep
-   re-simulates nothing);
+   :class:`~repro.core.WorkerPool` and both run-cache levels (a repeated
+   or resumed sweep re-simulates nothing);
 3. extracts each candidate's objective vector
    (:class:`~repro.search.objectives.EvaluationContext`), journals it,
    and folds it into the Pareto archive

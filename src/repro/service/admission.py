@@ -63,6 +63,18 @@ class ServiceGovernor:
             raise ValueError(f"capacity_cores must be >= 1, got {capacity_cores}")
         if not 0.0 <= threshold:
             raise ValueError(f"threshold must be >= 0, got {threshold}")
+        for name, value in (
+            ("sample_period_s", sample_period_s),
+            ("window_s", window_s),
+            ("initial_delay_s", initial_delay_s),
+        ):
+            if not value > 0.0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        if not max_delay_s >= initial_delay_s:
+            raise ValueError(
+                f"max_delay_s must be >= initial_delay_s ({initial_delay_s}), "
+                f"got {max_delay_s}"
+            )
         self.threshold = threshold
         self.capacity_cores = capacity_cores
         self.sample_period_s = sample_period_s
@@ -78,8 +90,6 @@ class ServiceGovernor:
         #: Current back-off delay (0 while under threshold).
         self.delay_s = 0.0
         self.throttle_events = 0
-        #: Lifetime total of cost-model predictions charged up front.
-        self.predicted_core_s = 0.0
 
     def note_busy(self, core_seconds: float) -> None:
         """Account simulation work (worker-cores × seconds) to the window."""
@@ -87,23 +97,6 @@ class ServiceGovernor:
             raise ValueError(f"negative core_seconds {core_seconds}")
         with self._lock:
             self._busy_core_s += core_seconds
-
-    def note_predicted(self, core_seconds: float) -> None:
-        """Charge a batch's cost-model *prediction* before it executes.
-
-        The scheduler calls this the moment a batch is formed, so
-        admission starts back-pressuring while the work is still in
-        flight instead of one batch later; once the batch finishes, only
-        the residual (actual minus predicted, floored at zero) goes
-        through :meth:`note_busy`.  An over-prediction therefore charges
-        slightly too much for one window — it decays with the EWMA —
-        while an under-prediction is corrected exactly.
-        """
-        if core_seconds < 0:
-            raise ValueError(f"negative core_seconds {core_seconds}")
-        with self._lock:
-            self._busy_core_s += core_seconds
-            self.predicted_core_s += core_seconds
 
     def _resample_locked(self) -> None:
         now = self._clock()
@@ -150,7 +143,6 @@ class ServiceGovernor:
                 "over_threshold": float(self.fraction > self.threshold),
                 "delay_s": self.delay_s,
                 "throttle_events": float(self.throttle_events),
-                "predicted_core_s": self.predicted_core_s,
             }
 
 

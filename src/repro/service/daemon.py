@@ -145,37 +145,42 @@ def _load_slos(arg: Optional[str]):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     slos = _load_slos(args.slo)
     ops_log = OpsLog.open_path(
         args.log_json,
         max_bytes=args.log_json_max_bytes,
         backups=args.log_json_backups,
     )
-    if args.pool_recycle is not None:
-        from ..core.pool import configure_pool
+    try:
+        if args.pool_recycle is not None:
+            from ..core.pool import configure_pool
 
-        configure_pool(recycle_after=args.pool_recycle)
-    service = HissService(
-        host=args.host,
-        port=args.port,
-        jobs=args.jobs,
-        queue_limit=args.queue_limit,
-        ttl_s=args.ttl,
-        qos_threshold=args.qos_threshold,
-        qos_window_s=args.qos_window,
-        qos_initial_delay_s=args.qos_initial_delay,
-        qos_max_delay_s=args.qos_max_delay,
-        cache_dir=args.cache_dir,
-        verbose=args.verbose,
-        trace=not args.no_trace,
-        ops_log=ops_log,
-        slos=slos,
-        slo_interval_s=args.slo_interval,
-        postmortem_dir=args.postmortem_dir,
-        postmortem_keep=args.postmortem_keep,
-        postmortem_e2e_threshold_s=args.postmortem_e2e_threshold,
-    )
+            configure_pool(recycle_after=args.pool_recycle)
+        service = HissService(
+            host=args.host,
+            port=args.port,
+            jobs=args.jobs,
+            queue_limit=args.queue_limit,
+            ttl_s=args.ttl,
+            qos_threshold=args.qos_threshold,
+            qos_window_s=args.qos_window,
+            qos_initial_delay_s=args.qos_initial_delay,
+            qos_max_delay_s=args.qos_max_delay,
+            cache_dir=args.cache_dir,
+            verbose=args.verbose,
+            trace=not args.no_trace,
+            ops_log=ops_log,
+            slos=slos,
+            slo_interval_s=args.slo_interval,
+            postmortem_dir=args.postmortem_dir,
+            postmortem_keep=args.postmortem_keep,
+            postmortem_e2e_threshold_s=args.postmortem_e2e_threshold,
+        )
+    except ValueError as error:
+        ops_log.close()
+        parser.error(str(error))
     shutdown = threading.Event()
 
     def request_shutdown(signum, _frame) -> None:

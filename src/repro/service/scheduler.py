@@ -17,11 +17,10 @@ invocation:
 
 Batching means ten queued jobs that share baselines — most do — cost one
 simulation pass, and a fully warm job completes without simulating at
-all.  The cost model's predicted core-seconds are charged to the
-:class:`~repro.service.admission.ServiceGovernor` *before* a batch
-executes (admission feels the load while it is in flight) and trued up
-with the actual residual afterwards.  A run that fails — worker
-exception or death — fails only the jobs that planned it; batch
+all.  Once a batch has executed, its measured core-seconds (wall time ×
+workers used) are charged to the
+:class:`~repro.service.admission.ServiceGovernor`.  A run that fails —
+worker exception or death — fails only the jobs that planned it; batch
 siblings complete.
 
 Planning mode and replay both use the process-global memo/planning state
@@ -39,7 +38,7 @@ from typing import Callable, List, Optional, Tuple
 
 from ..core import experiment as _experiment
 from ..core.planner import execute_runs, plan_runs, resolve_jobs, run_label
-from ..core.runcache import RunKey, cost_model, run_key_digest
+from ..core.runcache import RunKey, run_key_digest
 from ..telemetry import MetricsRegistry, Tracer
 from .admission import AdmissionController, ServiceGovernor
 from .jobs import CANCELLED, DONE, FAILED, RUNNING, Job, JobStore
@@ -268,17 +267,6 @@ class JobScheduler:
             job.runs_cached = cached
             job.runs_executed = len(job.run_keys) - cached
 
-        # Charge the cost model's batch estimate to the governor *now* —
-        # admission starts back-pressuring while the batch is in flight,
-        # not one batch later.  After execution only the residual
-        # (actual - predicted, floored at 0) is added, so nothing is
-        # counted twice.
-        predicted_core_s = 0.0
-        if self.governor is not None and pending:
-            model = cost_model()
-            predicted_core_s = sum(model.predict(key) for key in pending)
-            self.governor.note_predicted(predicted_core_s)
-
         report = self._execute_batch(pending, needed_by, profile_keys)
         exec_done_s = self._clock()
         self.metrics.counter("service.runs.executed").inc(report.executed)
@@ -289,13 +277,10 @@ class JobScheduler:
             self.metrics.counter("service.runs.failed").inc(len(report.failed))
         if self.governor is not None and report.executed:
             used = min(resolve_jobs(self.jobs), report.executed)
-            self.governor.note_busy(
-                max(0.0, report.execute_s * used - predicted_core_s)
-            )
+            self.governor.note_busy(report.execute_s * used)
         self.ops_log.log(
             "batch.executed", runs=report.executed, execute_s=report.execute_s,
             workers=report.workers, failed=len(report.failed),
-            predicted_core_s=round(predicted_core_s, 3),
         )
         failed_keys = {key: error for key, error in report.failed}
 

@@ -383,13 +383,9 @@ class HissService:
                 hits / lookups if lookups else 0.0
             )
         from ..core.pool import shared_pool_stats
-        from ..core.runcache import cost_model
 
         for name, value in shared_pool_stats().items():
             gauges[f"service.pool.{name}"] = value
-        gauges["service.cost_model.observations"] = float(
-            cost_model().observations
-        )
         gauges["service.trace.enabled"] = float(self.trace_enabled)
         gauges["service.trace.dropped_events"] = float(self.scheduler.trace_dropped)
         # Ring-buffer overflow across every tracer the scheduler ran —

@@ -18,7 +18,7 @@ This package sits *below* the simulation layers (it imports nothing from
 them), so every layer can hold a tracer reference without import cycles.
 """
 
-from .metrics import Counter, Histogram, MetricsRegistry
+from .metrics import Counter, Histogram, MetricsRegistry, decimate_pairs
 from .tracer import (
     NULL_TRACER,
     NullTracer,
@@ -60,6 +60,7 @@ __all__ = [
     "Tracer",
     "chrome_trace_dict",
     "clean_trace_id",
+    "decimate_pairs",
     "get_active_tracer",
     "new_span_id",
     "new_trace_id",

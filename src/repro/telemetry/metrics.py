@@ -5,7 +5,9 @@ mean/max per stage; tail latency is where SSR interference actually lives
 (a single kworker scheduling delay behind a busy CPU app is invisible in
 the mean).  :class:`Histogram` keeps geometrically spaced buckets so p50 /
 p95 / p99 come out of a run at O(1) memory, with *exact* min / max / mean
-alongside the bucketed quantiles.
+alongside the bucketed quantiles.  :func:`decimate_pairs` is the one
+halving step the repo's bounded time series share (the sim sampler, the
+rollup store and the flight ring).
 
 Everything here is pure bookkeeping: recording never touches the
 simulation clock or event heap, so metrics can be collected without
@@ -16,14 +18,35 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
-__all__ = ["Counter", "Histogram", "MetricsRegistry", "SUMMARY_PERCENTILES"]
+__all__ = [
+    "Counter",
+    "Histogram",
+    "MetricsRegistry",
+    "SUMMARY_PERCENTILES",
+    "decimate_pairs",
+]
+
+T = TypeVar("T")
 
 #: The percentiles every summary in the repo reports, in order.  Shared
 #: by :meth:`Histogram.summary`, ``core.tracing.format_breakdown``, and
 #: the exporters so the p50/p95/p99 column set is defined exactly once.
 SUMMARY_PERCENTILES = (50, 95, 99)
+
+
+def decimate_pairs(items: Sequence[T], merge: Callable[[T, T], T]) -> List[T]:
+    """Halve a full series: ``merge(earlier, later)`` for each adjacent pair.
+
+    An odd final item is carried over unmerged, so the result still
+    covers the whole series, in order.  Deterministic, so a decimated
+    series is the same on every replay.
+    """
+    merged = [merge(items[i], items[i + 1]) for i in range(0, len(items) - 1, 2)]
+    if len(items) % 2:
+        merged.append(items[-1])
+    return merged
 
 
 class Counter:

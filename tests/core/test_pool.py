@@ -1,5 +1,5 @@
 """Tests for the warm execution backend: pool mechanics, equivalence,
-crash isolation, and cost-model dispatch ordering.
+and crash isolation.
 
 The acceptance bar is the module's contract: warm-pool and serial
 results are byte-for-byte identical, a second batch spawns zero new
@@ -16,18 +16,15 @@ from repro.core import (
     clear_cache,
     execute_runs,
     make_run_key,
-    order_longest_first,
     plan_runs,
     run_key_digest,
-    set_cost_ledger,
     set_disk_cache,
     shared_pool,
     shared_pool_stats,
     shutdown_shared_pool,
 )
 from repro.core.experiment import cache_lookup
-from repro.core.pool import TaskResult, WorkerPool
-from repro.core.runcache import DEFAULT_COST_RATE, CostModel
+from repro.core.pool import TaskResult, WorkerPool, run_task
 from repro.experiments.common import UNPLANNABLE
 
 HORIZON = 1_000_000
@@ -37,16 +34,14 @@ GPUS = ["bfs", "ubench"]
 
 @pytest.fixture(autouse=True)
 def isolated_everything():
-    """Fresh caches, fresh cost model, no leftover resident workers."""
+    """Fresh caches, no leftover resident workers."""
     clear_cache()
     set_disk_cache(None)
-    set_cost_ledger(None)
     shutdown_shared_pool()
     yield
     shutdown_shared_pool()
     clear_cache()
     set_disk_cache(None)
-    set_cost_ledger(None)
 
 
 def kwargs_for(experiment_id: str) -> dict:
@@ -219,18 +214,26 @@ class TestWarmEquivalence:
         assert stats_after_second["batches"] == 2.0
         assert stats_after_second["warm_hits"] == float(len(keys) - half)
 
-    def test_predicted_core_s_reported_before_execution(self):
+    def test_pending_keys_dispatch_in_planned_order(self):
         keys = fig4_keys()
-        report = execute_runs(keys, jobs=1)
-        # No observations yet: every key priced at the default rate.
-        assert report.predicted_core_s == pytest.approx(
-            len(keys) * HORIZON * DEFAULT_COST_RATE
-        )
-        # The serial pass observed real timings; a re-run of the same
-        # keys is all cache hits and predicts nothing.
-        again = execute_runs(keys, jobs=1)
-        assert again.executed == 0
-        assert again.predicted_core_s == 0.0
+        execute_runs(keys[:2], jobs=1)  # cached keys are not dispatched
+
+        class RecordingPool:
+            dispatched = []
+
+            def run_batch(self, tasks):
+                self.dispatched.extend(task[0] for task in tasks)
+                return [
+                    TaskResult(index, True, payload=run_task(*task))
+                    for index, task in enumerate(tasks)
+                ]
+
+            def stats_document(self):
+                return {}
+
+        report = execute_runs(keys, jobs=2, pool=RecordingPool())
+        assert RecordingPool.dispatched == keys[2:]
+        assert report.executed == len(keys) - 2 and report.memory_hits == 2
 
     def test_summary_mentions_pool_when_warm(self):
         keys = fig4_keys()
@@ -264,75 +267,3 @@ class TestCrashIsolation:
         assert report.failed[0][0] == self.BOGUS
         assert "not-a-real-app" in report.failed[0][1]
         assert all(cache_lookup(key) is not None for key in keys)
-
-
-class TestCostModel:
-    KEY = make_run_key("x264", "bfs", True, SystemConfig(), HORIZON)
-
-    def test_fallback_chain(self):
-        model = CostModel()
-        # 1. Nothing observed: default rate x horizon.
-        assert model.predict(self.KEY) == pytest.approx(
-            HORIZON * DEFAULT_COST_RATE
-        )
-        model.observe(self.KEY, 2.0)
-        # 2. Exact digest: the observed mean, horizon-independent.
-        assert model.predict(self.KEY) == pytest.approx(2.0)
-        model.observe(self.KEY, 4.0)
-        assert model.predict(self.KEY) == pytest.approx(3.0)
-        # 3. Same (cpu, gpu, ssr) at another horizon: observed rate.
-        doubled = make_run_key("x264", "bfs", True, SystemConfig(), HORIZON * 2)
-        assert model.predict(doubled) == pytest.approx(6.0)
-        # 4. Unseen pairing: global rate.
-        stranger = make_run_key(
-            "blackscholes", "ubench", False, SystemConfig(), HORIZON
-        )
-        assert model.predict(stranger) == pytest.approx(3.0)
-
-    def test_nonpositive_observations_ignored(self):
-        model = CostModel()
-        model.observe(self.KEY, 0.0)
-        model.observe(self.KEY, -1.0)
-        assert model.observations == 0
-        assert model.predict(self.KEY) == pytest.approx(
-            HORIZON * DEFAULT_COST_RATE
-        )
-
-    def test_ledger_roundtrip(self, tmp_path):
-        path = str(tmp_path / "cost_ledger.jsonl")
-        writer = CostModel(path)
-        writer.observe(self.KEY, 2.5)
-        reader = CostModel(path)
-        assert reader.observations == 1
-        assert reader.predict(self.KEY) == pytest.approx(2.5)
-
-    def test_ledger_tolerates_torn_lines(self, tmp_path):
-        path = tmp_path / "cost_ledger.jsonl"
-        CostModel(str(path)).observe(self.KEY, 1.5)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"digest": "truncat')  # crashed writer
-        survivor = CostModel(str(path))
-        assert survivor.observations == 1
-        assert survivor.predict(self.KEY) == pytest.approx(1.5)
-
-
-class TestDispatchOrder:
-    def test_order_is_deterministic_without_observations(self):
-        keys = fig4_keys()
-        first = order_longest_first(keys)
-        second = order_longest_first(list(reversed(keys)))
-        assert first == second
-        assert sorted(first, key=run_key_digest) == first  # digest tie-break
-        assert set(first) == set(keys)
-
-    def test_observed_long_runs_dispatch_first(self):
-        from repro.core.runcache import cost_model
-
-        keys = fig4_keys()
-        model = cost_model()
-        slow, fast = keys[-1], keys[0]
-        model.observe(slow, 30.0)
-        model.observe(fast, 0.01)
-        ordered = order_longest_first(keys)
-        assert ordered[0] == slow
-        assert ordered[-1] == fast

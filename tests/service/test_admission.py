@@ -88,6 +88,22 @@ class TestServiceGovernor:
         with pytest.raises(ValueError):
             make_governor(FakeClock()).note_busy(-1.0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"window_s": 0.0},
+            {"sample_period_s": 0.0},
+            {"initial_delay_s": 0.0},
+            {"window_s": -1.0},
+            {"max_delay_s": 0.25},  # below initial_delay_s
+        ],
+    )
+    def test_degenerate_timing_rejected(self, overrides):
+        # A zero window or period would divide by zero on the first
+        # resample; a zero initial delay would throttle without backing off.
+        with pytest.raises(ValueError):
+            make_governor(FakeClock(), **overrides)
+
 
 class TestAdmissionController:
     def test_bounded_queue_rejects_overflow(self):
@@ -144,3 +160,31 @@ class TestAdmissionController:
         assert excinfo.value.reason == "qos-backpressure"
         assert admission.rejected_backpressure == 1
         assert admission.depth() == 0
+
+
+class TestServeCommandLine:
+    """``hiss-serve`` refuses settings the service cannot run with."""
+
+    @pytest.mark.parametrize(
+        "flags, problem",
+        [
+            (["--qos-window", "0"], "window_s"),
+            (["--qos-initial-delay", "0"], "initial_delay_s"),
+            (["--queue-limit", "0"], "queue_limit"),
+        ],
+    )
+    def test_invalid_setting_is_a_usage_error(
+        self, capsys, monkeypatch, flags, problem
+    ):
+        from repro.service import HissService
+        from repro.service.daemon import main
+
+        def refuse_to_serve(_service):
+            raise AssertionError("hiss-serve started serving")
+
+        monkeypatch.setattr(HissService, "start", refuse_to_serve)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--port", "0"] + flags)
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error.startswith("hiss-serve: error: ") and problem in error

@@ -2,8 +2,8 @@
 
 Drives the scheduler directly (no HTTP, no drain thread) to pin down
 what the ISSUE promises: a job whose planned run fails is FAILED with
-the worker's traceback while its batch siblings complete, the cost
-model's batch estimate is charged to the governor before execution, and
+the worker's traceback while its batch siblings complete, the batch's
+measured core-seconds are charged to the governor once it has run, and
 the pool's lifetime counters surface through the service gauges.
 """
 
@@ -13,7 +13,6 @@ from repro.config import SystemConfig
 from repro.core import (
     clear_cache,
     make_run_key,
-    set_cost_ledger,
     set_disk_cache,
     shared_pool_stats,
     shutdown_shared_pool,
@@ -32,13 +31,11 @@ BOGUS_KEY = make_run_key("not-a-real-app", "bfs", True, SystemConfig(), HORIZON)
 def isolated_everything():
     clear_cache()
     set_disk_cache(None)
-    set_cost_ledger(None)
     shutdown_shared_pool()
     yield
     shutdown_shared_pool()
     clear_cache()
     set_disk_cache(None)
-    set_cost_ledger(None)
 
 
 def make_scheduler(jobs=2, governor=None):
@@ -88,9 +85,20 @@ class TestBatchCrashIsolation:
         assert metrics.counter("service.jobs.failed").value == 1
         assert metrics.counter("service.jobs.completed").value == 1
 
-    def test_prediction_charged_to_governor_before_execution(self):
+    def test_measured_time_charged_to_governor_after_execution(self):
+        charged = []
         governor = ServiceGovernor(threshold=10.0, capacity_cores=2)
+        governor.note_busy = charged.append
         store, scheduler, _ = make_scheduler(governor=governor)
+        reports = []
+        execute_batch = scheduler._execute_batch
+
+        def recording_execute_batch(*args):
+            assert not charged  # nothing is charged before the batch runs
+            reports.append(execute_batch(*args))
+            return reports[-1]
+
+        scheduler._execute_batch = recording_execute_batch
         spec = fig4_spec()
         run_keys, _ = plan_spec(spec)
         job = submit(store, spec, run_keys, dedupe_key_for(spec, run_keys))
@@ -98,16 +106,10 @@ class TestBatchCrashIsolation:
         scheduler._run_batch([job.id])
 
         assert job.state == DONE
-        # The cost model priced the pending keys and the scheduler
-        # charged that estimate up front (it is a lifetime total, so it
-        # survives the post-batch true-up).
-        assert governor.predicted_core_s > 0.0
-        assert governor.snapshot()["predicted_core_s"] == governor.predicted_core_s
-
-    def test_note_predicted_rejects_negative(self):
-        governor = ServiceGovernor()
-        with pytest.raises(ValueError):
-            governor.note_predicted(-0.1)
+        (report,) = reports
+        assert report.executed == len(run_keys) > 2
+        # Wall time x the two workers the batch kept busy, charged once.
+        assert charged == [report.execute_s * 2]
 
 
 class TestPoolGauges:
@@ -137,7 +139,7 @@ class TestPoolGauges:
         assert stats["warm_hits"] >= 1.0
         assert stats["warm_hit_ratio"] > 0.0
 
-    def test_service_gauges_expose_pool_and_cost_model(self):
+    def test_service_gauges_expose_pool(self):
         from repro.service import HissService
 
         svc = HissService(port=0, jobs=2, qos_threshold=10.0)
@@ -146,6 +148,5 @@ class TestPoolGauges:
             "service.pool.spawned_workers",
             "service.pool.live_workers",
             "service.pool.warm_hit_ratio",
-            "service.cost_model.observations",
         ):
             assert name in gauges

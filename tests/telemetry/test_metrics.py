@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.telemetry import Counter, Histogram, MetricsRegistry
+from repro.telemetry import Counter, Histogram, MetricsRegistry, decimate_pairs
 
 
 class TestCounter:
@@ -209,3 +209,27 @@ class TestWindowingHelpers:
         assert histogram.fraction_over(1.0) == pytest.approx(0.1, abs=0.02)
         assert histogram.fraction_over(1e5) == 0.0
         assert Histogram("h").fraction_over(1.0) == 0.0
+
+
+class TestDecimatePairs:
+    @staticmethod
+    def pair(earlier, later):
+        return (earlier, later)
+
+    @pytest.mark.parametrize(
+        "items, expected",
+        [
+            ([], []),
+            ([0], [0]),
+            ([0, 1], [(0, 1)]),
+            ([0, 1, 2, 3], [(0, 1), (2, 3)]),
+            ([0, 1, 2, 3, 4], [(0, 1), (2, 3), 4]),  # odd tail carried
+        ],
+    )
+    def test_merges_adjacent_pairs_in_order(self, items, expected):
+        assert decimate_pairs(items, self.pair) == expected
+
+    @pytest.mark.parametrize("length", [16, 17])
+    def test_keeping_the_earlier_item_keeps_every_other_one(self, length):
+        items = list(range(length))
+        assert decimate_pairs(items, lambda earlier, _later: earlier) == items[::2]
